@@ -8,15 +8,16 @@ CSV in, JSON/CSV out.  Exit codes: 0 success, 2 bad flags, 3 data errors,
 import configparser
 import os
 import sys
+from dataclasses import replace
 
 import click
 import numpy as np
 
-from . import glm, jsonio, lla, lqa, sim, subset, threshold, tuning
+from . import glm, jsonio, lla, methods, sim, subset, threshold, tuning
 from .exceptions import DataError, NonConvergence, SparsefitError, TooManyPredictors
-from .penalty import PenaltySpec, format_penalty, parse_penalty
+from .penalty import format_penalty, parse_penalty
 
-_METHODS = ("one-step", "k-step", "full-lla", "lqa", "plqa", "subset")
+_METHODS = tuple(m.replace("_", "-") for m in methods.METHODS) + ("subset",)
 
 EXIT_DATA = 3
 EXIT_NONCONVERGENCE = 4
@@ -79,34 +80,6 @@ def _fit_json(fit, family, names, pen=None):
     return jsonio.dumps(doc, indent=2) + "\n"
 
 
-def _cv_lambda(dataset, method, pen, folds, n_lambda, min_ratio, seed, k=1):
-    b_init = glm.fit_mle(dataset)
-    lam_max = lla.one_step_lambda_max(dataset, pen, b0=b_init)
-    grid = tuning.default_lambda_grid(lam_max, n_lambda, min_ratio)
-    if method == "one-step":
-        def fitter(train, g):
-            return lla.one_step_path(train, pen, g)
-    else:
-        def fit_one(train, spec, b0):
-            if method == "k-step":
-                return lla.k_step(train, spec, b0=b0, k=k)
-            if method == "lqa":
-                return lqa.lqa_fit(train, spec, b0=b0)
-            return lqa.perturbed_lqa_fit(train, spec, b0=b0)
-
-        def fitter(train, g):
-            b0 = glm.fit_mle(train)
-            out = []
-            for lam in g:
-                try:
-                    out.append(fit_one(train, PenaltySpec(pen.family, float(lam), a=pen.a, q=pen.q), b0))
-                except SparsefitError:
-                    out.append(None)
-            return out
-
-    return tuning.cv_select(dataset, fitter, grid, folds, seed)
-
-
 @main.command()
 @click.option("--data", required=True, help="input CSV with a header row")
 @click.option("--response", required=True, help="name of the response column")
@@ -137,22 +110,17 @@ def fit(data, response, family, method, penalty_str, lam, cv, criterion, k,
     pen = _parse_penalty_flag(penalty_str)
     if cv and lam is not None:
         raise click.UsageError("--lambda and --cv are mutually exclusive")
-    if cv:
-        lam, _ = _cv_lambda(dataset, method, pen, folds, tuning.DEFAULT_N_LAMBDA,
-                            tuning.DEFAULT_MIN_RATIO, seed, k=k)
-    if lam is not None:
-        pen = PenaltySpec(pen.family, float(lam), a=pen.a, q=pen.q)
+    name = method.replace("-", "_")
+    opts = dict(k=k, eps0=eps0, tau0=tau0)
     try:
-        if method == "one-step":
-            res = lla.one_step(dataset, pen)
-        elif method == "k-step":
-            res = lla.k_step(dataset, pen, k=k)
-        elif method == "full-lla":
-            res = lla.full_lla(dataset, pen)
-        elif method == "lqa":
-            res = lqa.lqa_fit(dataset, pen, eps0=eps0)
-        else:
-            res = lqa.perturbed_lqa_fit(dataset, pen, tau0=tau0)
+        b0 = None
+        if cv:
+            b0 = glm.fit_mle(dataset)
+            lam, _ = methods.select_lambda(name, dataset, pen, b0, tuning.DEFAULT_N_LAMBDA,
+                                           tuning.DEFAULT_MIN_RATIO, "cv", folds, seed, **opts)
+        if lam is not None:
+            pen = replace(pen, lam=float(lam))
+        res = methods.fit(name, dataset, pen, b0=b0, **opts)
     except NonConvergence as exc:
         if exc.result is not None:
             _write(_fit_json(exc.result, family, names, pen), out)
@@ -213,7 +181,8 @@ def cv(data, response, family, method, penalty_str, folds, n_lambda, min_ratio,
     dataset, _ = _load(data, response, family, intercept)
     pen = _parse_penalty_flag(penalty_str)
     try:
-        lam_star, curve = _cv_lambda(dataset, method, pen, folds, n_lambda, min_ratio, seed)
+        lam_star, curve = methods.select_lambda(method.replace("-", "_"), dataset, pen, None,
+                                                n_lambda, min_ratio, "cv", folds, seed)
     except SparsefitError as exc:
         _fail_data(exc)
     lines = [f"# lambda_star = {_g17(lam_star)}", "lambda,loss"]

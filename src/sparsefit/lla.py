@@ -11,7 +11,7 @@ lambda-free derivative, SCAD splits coordinates into an unpenalized block U
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,6 +120,21 @@ def build_working_data_type1(d: glm.Dataset, b0, p: PenaltySpec) -> WorkingData:
     return WorkingData(cols, ystar, tuple(u_set), tuple(v_set), tuple(pinned), scales)
 
 
+def _separable_problem(d: glm.Dataset, b0, p: PenaltySpec):
+    """Lambda-free one-step working problem of a separable penalty, with its
+    scale factors; level lambda is its weight profile u (n, 0 or +inf) * lambda."""
+    wd = build_working_data_type1(d, b0, replace(p, lam=1.0))
+    u = np.zeros(d.n_coef)
+    u[list(wd.v_set)] = d.n
+    u[list(wd.pinned)] = np.inf
+    return wlasso.WlassoProblem(wd.wdesign, wd.wresponse, u), wd.scale_factors
+
+
+def _level_weights(u, lam):
+    """Weights lam * u of a unit profile, keeping its +inf entries."""
+    return np.where(np.isinf(u), np.inf, lam * u)
+
+
 def _column_projector(X):
     """Orthonormal basis of span(X) via SVD; warns when rank deficient."""
     if X.shape[1] == 0:
@@ -138,16 +153,9 @@ def _column_projector(X):
     return U[:, :rank]
 
 
-def build_working_data_type2(d: glm.Dataset, b0, p: PenaltySpec) -> WorkingData:
-    """SCAD working data: scale V columns by lambda/p'_lam, project out U."""
-    if p.family != "scad":
-        raise FamilyMismatch("type-2 working data is the SCAD route")
-    b0 = np.asarray(b0, dtype=float)
-    M = d.model_matrix
-    sqrt_d = np.sqrt(glm.curvature_weights(d, b0))
-    mu = M @ b0
-    ystar = sqrt_d * mu
-    Xstar = sqrt_d[:, None] * M
+def _scad_split(d: glm.Dataset, b0, p: PenaltySpec):
+    """SCAD split at b0: U (intercept, zero derivative), V, and the scales
+    lambda / p'_lam(|b0_j|) of the V columns (1 elsewhere)."""
     scales = np.ones(d.n_coef)
     u_set, v_set = ([0] if d.intercept else []), []
     for j in _predictor_indices(d):
@@ -157,7 +165,21 @@ def build_working_data_type2(d: glm.Dataset, b0, p: PenaltySpec) -> WorkingData:
         else:
             v_set.append(j)
             scales[j] = p.lam / dj
-            Xstar[:, j] *= scales[j]
+    return u_set, v_set, scales
+
+
+def build_working_data_type2(d: glm.Dataset, b0, p: PenaltySpec) -> WorkingData:
+    """SCAD working data: scale V columns by lambda/p'_lam, project out U."""
+    if p.family != "scad":
+        raise FamilyMismatch("type-2 working data is the SCAD route")
+    b0 = np.asarray(b0, dtype=float)
+    M = d.model_matrix
+    sqrt_d = np.sqrt(glm.curvature_weights(d, b0))
+    mu = M @ b0
+    ystar = sqrt_d * mu
+    u_set, v_set, scales = _scad_split(d, b0, p)
+    Xstar = sqrt_d[:, None] * M
+    Xstar[:, v_set] *= scales[v_set]
     Q = _column_projector(Xstar[:, u_set]) if u_set else None
     Xv = Xstar[:, v_set]
     if Q is not None and Q.shape[1] > 0:
@@ -199,20 +221,12 @@ def _one_step_model_vector(d, p, b0, tol):
         rhs = wd.wresponse - (wd.wdesign[:, v] @ beta_v if v else 0.0)
         beta_u = _lstsq_coef(wd.wdesign[:, u], rhs)
         beta = np.zeros(d.n_coef)
-        for idx, j in enumerate(u):
-            beta[j] = beta_u[idx]
-        for idx, j in enumerate(v):
-            beta[j] = beta_v[idx] * wd.scale_factors[j]
+        beta[u] = beta_u
+        beta[v] = beta_v * wd.scale_factors[v]
         return beta
-    wd = build_working_data_type1(d, b0, p)
-    weights = np.full(d.n_coef, n * p.lam)
-    for j in wd.u_set:
-        weights[j] = 0.0
-    for j in wd.pinned:
-        weights[j] = np.inf
-    prob = wlasso.WlassoProblem(wd.wdesign, wd.wresponse, weights)
-    sol = wlasso.solve(prob, tol=tol)
-    return sol.beta * wd.scale_factors
+    prob, scales = _separable_problem(d, b0, p)
+    prob = replace(prob, weights=_level_weights(prob.weights, p.lam))
+    return wlasso.solve(prob, tol=tol).beta * scales
 
 
 def one_step(d: glm.Dataset, p: PenaltySpec, b0=None, tol: float = DEFAULT_TOL) -> FitResult:
@@ -372,13 +386,7 @@ def one_step_lambda_max(d: glm.Dataset, p: PenaltySpec, b0=None) -> float:
         b0 = glm.fit_mle(d)
     b0 = np.asarray(b0, dtype=float)
     if p.family != "scad":
-        base = PenaltySpec(p.family, 1.0, a=p.a, q=p.q)
-        wd = build_working_data_type1(d, b0, base)
-        u = np.zeros(d.n_coef)
-        u[list(wd.v_set)] = d.n
-        u[list(wd.pinned)] = np.inf
-        prob = wlasso.WlassoProblem(wd.wdesign, wd.wresponse, u)
-        return wlasso.lambda_max(prob)
+        return wlasso.lambda_max(_separable_problem(d, b0, p)[0])
     # SCAD: for lambda >= max |b0_j| every predictor weight is n*lambda, so
     # the all-zero threshold is the larger of that bound and the usual
     # correlation bound on the unscaled working data.
@@ -402,7 +410,8 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None,
     Separable penalties share a single working problem across the grid; the
     SCAD route is re-solved per grid point (its U/V split changes with
     lambda) in the Gram domain so the per-point cost does not grow with n.
-    Entries that fail to fit are returned as None.
+    Entries carry no objective trace (``objective_trace == ()``); entries
+    that fail to fit are returned as None.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -415,47 +424,27 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None,
     n = d.n
 
     if p.family != "scad":
-        base = PenaltySpec(p.family, 1.0, a=p.a, q=p.q)
-        wd = build_working_data_type1(d, b0, base)
-        G = wd.wdesign.T @ wd.wdesign
-        bvec = wd.wdesign.T @ wd.wresponse
-        u_profile = np.zeros(d.n_coef)
-        u_profile[list(wd.v_set)] = n
-        u_profile[list(wd.pinned)] = np.inf
+        prob, scales = _separable_problem(d, b0, p)
+        G = prob.wdesign.T @ prob.wdesign
+        bvec = prob.wdesign.T @ prob.wresponse
         out = []
         warm = None
         for lam in grid:
-            spec = PenaltySpec(p.family, float(lam), a=p.a, q=p.q)
             try:
-                w = np.where(np.isinf(u_profile), np.inf, lam * u_profile)
-                beta_star, _, _ = wlasso.solve_gram(G, bvec, w, tol=tol, x0=warm)
-                warm = beta_star
-                beta = beta_star * wd.scale_factors
-                trace = (penalized_objective(d, b0, spec), penalized_objective(d, beta, spec))
-                out.append(_result_from_model_vector(d, beta, lam, "one_step", trace, 1))
+                warm, _, _ = wlasso.solve_gram(G, bvec, _level_weights(prob.weights, lam),
+                                               tol=tol, x0=warm)
+                out.append(_result_from_model_vector(d, warm * scales, lam, "one_step", (), 1))
             except (NonConvergence, np.linalg.LinAlgError):
                 out.append(None)
         return out
 
     H = glm.neg_hessian(d, b0)
     bvec = H @ b0
-    pred = list(_predictor_indices(d))
     out = []
     prev_beta = None
     for lam in grid:
-        spec = PenaltySpec("scad", float(lam), a=p.a)
         try:
-            scales = np.ones(d.n_coef)
-            u_idx = [0] if d.intercept else []
-            v_idx = []
-            for j in pred:
-                dj = penalty.derivative(spec, abs(b0[j]))
-                if dj == 0.0:
-                    u_idx.append(j)
-                else:
-                    v_idx.append(j)
-                    scales[j] = lam / dj
-            s = scales
+            u_idx, v_idx, s = _scad_split(d, b0, PenaltySpec("scad", float(lam), a=p.a))
             Gs = (s[:, None] * H) * s[None, :]
             bs = s * bvec
             A = Gs[np.ix_(u_idx, u_idx)]
@@ -479,14 +468,10 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None,
             beta = np.zeros(d.n_coef)
             if u_idx:
                 rhs = bs[u_idx] - (Gs[np.ix_(u_idx, v_idx)] @ beta_v if v_idx else 0.0)
-                beta_u = _psolve(A, rhs)
-                for i, j in enumerate(u_idx):
-                    beta[j] = beta_u[i]
-            for i, j in enumerate(v_idx):
-                beta[j] = beta_v[i] * s[j]
+                beta[u_idx] = _psolve(A, rhs)
+            beta[v_idx] = beta_v * s[v_idx]
             prev_beta = beta
-            trace = (penalized_objective(d, b0, spec), penalized_objective(d, beta, spec))
-            out.append(_result_from_model_vector(d, beta, lam, "one_step", trace, 1))
+            out.append(_result_from_model_vector(d, beta, lam, "one_step", (), 1))
         except (NonConvergence, np.linalg.LinAlgError):
             out.append(None)
     return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from . import glm, jsonio, lla, lqa, subset, tuning
+from . import glm, jsonio, methods, subset, tuning
 from .penalty import PenaltySpec
 
 #: the standard coefficient vectors, zero-padded to 12 coordinates
@@ -53,9 +53,6 @@ class MethodSpec:
         return PenaltySpec(self.family, lam, a=self.a, q=self.q)
 
 
-_KIND_ALIASES = {"one-step": "one_step", "one_step": "one_step", "lqa": "lqa", "plqa": "plqa"}
-
-
 def parse_method(text: str) -> MethodSpec:
     """Parse a method descriptor such as ``one-step:scad`` or ``subset:bic``.
 
@@ -75,9 +72,9 @@ def parse_method(text: str) -> MethodSpec:
         if tail not in ("aic", "bic"):
             raise ValueError(f"subset criterion must be aic or bic, got {tail!r}")
         return MethodSpec("subset", criterion=tail, label=tail.upper())
-    if head not in _KIND_ALIASES:
+    kind = head.replace("-", "_")
+    if kind not in ("one_step", "lqa", "plqa"):
         raise ValueError(f"unknown method kind {head!r} in {text!r}")
-    kind = _KIND_ALIASES[head]
     m = re.fullmatch(r"(scad|lq|log|l1)(?:\(([^)]*)\))?", tail)
     if not m:
         raise ValueError(f"bad penalty in method {text!r}")
@@ -238,46 +235,16 @@ def model_error(family: str, beta_hat, beta_true, sigma=None, test_design=None) 
     raise ValueError(f"unknown family {family!r}")
 
 
-def _family(spec: ScenarioSpec) -> str:
-    return {"linear": "gaussian", "logistic": "logistic", "poisson": "poisson"}[spec.example]
-
-
 def _fit_penalized(spec, m, data, b_full, cv_seed):
     """Tune lambda for a penalized method and refit on the full data.
 
     ``spec.tuning`` picks the selector: k-fold CV (seeded by ``cv_seed``) or
     BIC on a single full-data path.
     """
-    proto = m.penalty(1.0)
-    lam_max = lla.one_step_lambda_max(data, proto, b0=b_full)
-    grid = tuning.default_lambda_grid(lam_max, spec.n_lambda, spec.lambda_min_ratio)
-    if m.kind == "one_step":
-        def fitter(train, g):
-            return lla.one_step_path(train, proto, g)
-    else:
-        fit_one = lqa.lqa_fit if m.kind == "lqa" else lqa.perturbed_lqa_fit
-
-        def fitter(train, g):
-            b0 = glm.fit_mle(train)
-            out = []
-            for lam in g:
-                try:
-                    out.append(fit_one(train, m.penalty(float(lam)), b0=b0))
-                except Exception:
-                    out.append(None)
-            return out
-
-    if spec.tuning == "bic":
-        lam_star, _ = tuning.bic_select(data, fitter, grid)
-    else:
-        lam_star, _ = tuning.cv_select(data, fitter, grid, spec.cv_folds, cv_seed)
-    if m.kind == "one_step":
-        fit = lla.one_step(data, m.penalty(lam_star), b0=b_full)
-    elif m.kind == "lqa":
-        fit = lqa.lqa_fit(data, m.penalty(lam_star), b0=b_full)
-    else:
-        fit = lqa.perturbed_lqa_fit(data, m.penalty(lam_star), b0=b_full)
-    return fit.coefficients
+    lam_star, _ = methods.select_lambda(m.kind, data, m.penalty(1.0), b_full, spec.n_lambda,
+                                        spec.lambda_min_ratio, spec.tuning, spec.cv_folds,
+                                        cv_seed)
+    return methods.fit(m.kind, data, m.penalty(lam_star), b0=b_full).coefficients
 
 
 def _run_replication(spec: ScenarioSpec, rep_index: int):

@@ -7,8 +7,10 @@ initial estimator of any two-stage method is re-fit inside each training
 fold, which is the fitter's job: a fitter is a callable
 ``fitter(train_dataset, lambda_grid) -> [FitResult or None, ...]`` aligned
 with the grid, with None marking a fold/lambda pair that failed (those score
-+inf).  CV is not selection-consistent: on large samples it often prefers a
-small lambda that keeps a few noise variables.
++inf).  A fitter that raises a solver failure (SparsefitError or
+LinAlgError) scores its whole fold +inf; other exceptions propagate.  CV is
+not selection-consistent: on large samples it often prefers a small lambda
+that keeps a few noise variables.
 
 The BIC selector (Wang, Li & Tsai 2007) calls the same fitter once, on the
 full data, and scores each grid point by -2 loglik + log(n) df, with df the
@@ -21,11 +23,14 @@ import math
 import numpy as np
 
 from . import glm
-from .exceptions import NonConvergence
+from .exceptions import SparsefitError
 
 DEFAULT_FOLDS = 5
 DEFAULT_N_LAMBDA = 100
 DEFAULT_MIN_RATIO = 1e-3
+
+#: fitter failures that score +inf instead of propagating
+SOLVER_ERRORS = (SparsefitError, np.linalg.LinAlgError)
 
 
 def default_lambda_grid(lam_max: float, n_points: int = DEFAULT_N_LAMBDA,
@@ -76,7 +81,7 @@ def cv_select(d: glm.Dataset, fitter, lambda_grid, k: int = DEFAULT_FOLDS,
         val = d.subset_rows(np.sort(val_idx))
         try:
             fits = fitter(train, grid)
-        except Exception:
+        except SOLVER_ERRORS:
             losses[f, :] = np.inf
             continue
         for i, fit in enumerate(fits):
@@ -127,7 +132,7 @@ def bic_select(d: glm.Dataset, fitter, lambda_grid):
         raise ValueError("lambda grid must be nonempty")
     try:
         fits = fitter(d, grid)
-    except (NonConvergence, np.linalg.LinAlgError):
+    except SOLVER_ERRORS:
         fits = [None] * grid.size
     curve = [
         (float(lam), math.inf if fit is None else _bic_score(d, fit))

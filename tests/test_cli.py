@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sparsefit import cli, glm, lla
-from sparsefit.exceptions import NonConvergence
+from sparsefit import cli, glm, lla, lqa
+from sparsefit.exceptions import NonConvergence, SingularDesign
 from sparsefit.lla import FitResult
 
 
@@ -122,6 +122,23 @@ class TestFit:
         doc = json.loads(out.read_text())
         assert doc["converged"] is False
 
+    @pytest.mark.parametrize("exc, code", [(NonConvergence("stalled"), 4),
+                                           (SingularDesign("singular"), 3)])
+    def test_tuning_failure_exit_code(self, runner, toy_csv, monkeypatch, exc, code):
+        path, _, _ = toy_csv
+
+        def explode(*a, **k):
+            raise exc
+
+        monkeypatch.setattr(cli.glm, "fit_mle", explode)
+        res = runner.invoke(
+            cli.main,
+            ["fit", "--data", str(path), "--response", "y", "--method", "one-step",
+             "--penalty", "scad:lambda=1", "--cv"],
+        )
+        assert res.exit_code == code, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
     def test_out_file_written_17g(self, runner, toy_csv, tmp_path):
         path, _, _ = toy_csv
         out = tmp_path / "fit.json"
@@ -134,6 +151,58 @@ class TestFit:
         doc = json.loads(out.read_text())
         reparsed = json.loads(out.read_text())
         assert doc == reparsed  # round-trip stable
+
+
+class TestCvFitDispatch:
+    """``fit --cv`` tunes each method with that method's own fits."""
+
+    def test_full_lla_cv_never_runs_perturbed_lqa(self, runner, toy_csv, monkeypatch):
+        path, _, _ = toy_csv
+        calls = {"full_lla": 0, "perturbed_lqa_fit": 0}
+        real_full_lla = lla.full_lla
+
+        def full_lla(*a, **k):
+            calls["full_lla"] += 1
+            return real_full_lla(*a, **k)
+
+        def perturbed_lqa_fit(*a, **k):
+            calls["perturbed_lqa_fit"] += 1
+            raise AssertionError("perturbed LQA called for --method full-lla")
+
+        monkeypatch.setattr(lla, "full_lla", full_lla)
+        monkeypatch.setattr(lqa, "perturbed_lqa_fit", perturbed_lqa_fit)
+        res = runner.invoke(
+            cli.main,
+            ["fit", "--data", str(path), "--response", "y", "--method", "full-lla",
+             "--penalty", "scad:lambda=1", "--cv", "--seed", "4"],
+        )
+        assert res.exit_code == 0, res.output
+        assert calls["perturbed_lqa_fit"] == 0
+        assert calls["full_lla"] == 5 * 100 + 1  # every fold and grid point, then the refit
+        assert json.loads(res.output)["method"] == "full_lla"
+
+    @pytest.mark.parametrize("method, fn, flag, kwarg", [
+        ("lqa", "lqa_fit", "--eps0", "eps0"),
+        ("plqa", "perturbed_lqa_fit", "--tau0", "tau0"),
+    ])
+    def test_lqa_option_reaches_every_cv_fit(self, runner, toy_csv, monkeypatch,
+                                             method, fn, flag, kwarg):
+        path, _, _ = toy_csv
+        seen = []
+
+        def stub(d, p, b0=None, **k):
+            seen.append(k[kwarg])
+            return FitResult(np.zeros(d.p), (), p.lam, method, (0.0,), 1)
+
+        monkeypatch.setattr(lqa, fn, stub)
+        res = runner.invoke(
+            cli.main,
+            ["fit", "--data", str(path), "--response", "y", "--method", method,
+             "--penalty", "scad:lambda=1", "--cv", flag, "0.125"],
+        )
+        assert res.exit_code == 0, res.output
+        assert len(seen) == 5 * 100 + 1
+        assert set(seen) == {0.125}
 
 
 class TestPath:

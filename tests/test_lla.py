@@ -247,6 +247,12 @@ class TestPath:
             single = lla.one_step(d, spec, b0=b0)
             assert np.max(np.abs(fit.coefficients - single.coefficients)) <= 1e-7
 
+    def test_entries_carry_no_objective_trace(self):
+        d = random_dataset(41, 50, 5)
+        for pen in (SCAD2, PenaltySpec("log", 1.0)):
+            grid = tuning.default_lambda_grid(lla.one_step_lambda_max(d, pen), 10)
+            assert all(fit.objective_trace == () for fit in lla.one_step_path(d, pen, grid))
+
     def test_lambda_max_gives_empty_support(self):
         for pen in (SCAD2, PenaltySpec("log", 1.0), PenaltySpec("l1", 1.0)):
             d = random_dataset(43, 40, 4)
@@ -267,3 +273,23 @@ class TestPath:
         d = random_dataset(0, 10, 2)
         with pytest.raises(ValueError):
             lla.one_step_path(d, SCAD2, [0.1, 0.2])
+
+
+class TestSeparableRoute:
+    """one_step and one_step_path solve the same lambda-free working problem."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+    @pytest.mark.parametrize("pen", [
+        PenaltySpec("l1", 1.0), PenaltySpec("log", 1.0),
+        PenaltySpec("lq", 1.0, q=0.5), PenaltySpec("lq", 1.0, q=0.01),
+    ])
+    def test_single_point_path_equals_one_step(self, family, pen):
+        d = random_dataset(53, 60, 5, family)
+        b0 = glm.fit_mle(d)
+        grid = tuning.default_lambda_grid(lla.one_step_lambda_max(d, pen, b0=b0), 30)
+        for lam in grid:
+            [point] = lla.one_step_path(d, pen, [lam], b0=b0)
+            single = lla.one_step(d, PenaltySpec(pen.family, float(lam), q=pen.q), b0=b0)
+            assert np.array_equal(single.coefficients, point.coefficients)
+            assert point.objective_trace == ()
+            assert len(single.objective_trace) == 2

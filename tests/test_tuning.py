@@ -95,6 +95,25 @@ class TestCvSelect:
         assert all(np.isinf(loss) for _, loss in curve)
         assert lam == 2.0  # ties at +inf still resolve toward larger lambda
 
+    def test_solver_failure_scores_fold_infinite(self):
+        d = random_dataset(8, 30, 3)
+
+        def diverges(train, grid):
+            raise NonConvergence("budget exhausted")
+
+        lam, curve = tuning.cv_select(d, diverges, [2.0, 1.0], seed=0)
+        assert all(np.isinf(loss) for _, loss in curve)
+        assert lam == 2.0
+
+    def test_programming_errors_propagate(self):
+        d = random_dataset(8, 30, 3)
+
+        def broken(train, grid):
+            raise TypeError("bug in the fitter")
+
+        with pytest.raises(TypeError):
+            tuning.cv_select(d, broken, [1.0], seed=0)
+
     def test_validation_loss_gaussian_is_mse(self):
         d = random_dataset(9, 20, 2)
         beta = np.array([1.0, -1.0])

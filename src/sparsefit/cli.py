@@ -99,6 +99,12 @@ def _fit_json(fit, family, names, pen=None):
 def fit(data, response, family, method, penalty_str, lam, cv, criterion, k,
         eps0, tau0, folds, intercept, seed, out):
     """Fit one model and emit the result as JSON."""
+    if k < 1:
+        raise click.UsageError("--k must be at least 1")
+    if eps0 is not None and not eps0 > 0:
+        raise click.UsageError("--eps0 must be positive")
+    if tau0 is not None and not tau0 > 0:
+        raise click.UsageError("--tau0 must be positive")
     dataset, names = _load(data, response, family, intercept)
     if method == "subset":
         try:

@@ -103,41 +103,51 @@ def linear_predictor(d: Dataset, beta) -> np.ndarray:
     return d.model_matrix @ _check_beta(d, beta)
 
 
+def _mean(family: str, eta: np.ndarray) -> np.ndarray:
+    if family == "gaussian":
+        return eta
+    if family == "logistic":
+        return expit(eta)
+    return np.exp(eta)
+
+
+def _curvature(family: str, eta: np.ndarray) -> np.ndarray:
+    if family == "gaussian":
+        return np.ones(eta.shape)
+    if family == "logistic":
+        pr = expit(eta)
+        return pr * (1.0 - pr)
+    return np.exp(eta)
+
+
+def _eta_loglik(family: str, y: np.ndarray, eta: np.ndarray):
+    """Log-likelihood of ``y`` summed over the last axis of ``eta``."""
+    if family == "gaussian":
+        return -0.5 * np.sum((y - eta) ** 2, axis=-1)
+    if family == "logistic":
+        return np.sum(y * eta - np.logaddexp(0.0, eta), axis=-1)
+    return np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0), axis=-1)
+
+
 def mean_response(d: Dataset, mu: np.ndarray) -> np.ndarray:
     """Inverse link applied to the linear predictor."""
-    if d.family == "gaussian":
-        return mu
-    if d.family == "logistic":
-        return expit(mu)
-    return np.exp(mu)
+    return _mean(d.family, mu)
 
 
 def loglik(d: Dataset, beta) -> float:
     """Total log-likelihood at the model vector ``beta``."""
-    mu = linear_predictor(d, beta)
-    y = d.response
-    if d.family == "gaussian":
-        return float(-0.5 * np.sum((y - mu) ** 2))
-    if d.family == "logistic":
-        return float(np.sum(y * mu - np.logaddexp(0.0, mu)))
-    return float(np.sum(y * mu - np.exp(mu) - gammaln(y + 1.0)))
+    return float(_eta_loglik(d.family, d.response, linear_predictor(d, beta)))
 
 
 def score(d: Dataset, beta) -> np.ndarray:
     """Gradient of the log-likelihood, X^T (y - E[y|x])."""
     mu = linear_predictor(d, beta)
-    return d.model_matrix.T @ (d.response - mean_response(d, mu))
+    return d.model_matrix.T @ (d.response - _mean(d.family, mu))
 
 
 def curvature_weights(d: Dataset, beta) -> np.ndarray:
     """Per-observation negative second derivative of the log-likelihood in mu."""
-    mu = linear_predictor(d, beta)
-    if d.family == "gaussian":
-        return np.ones(d.n)
-    if d.family == "logistic":
-        pr = expit(mu)
-        return pr * (1.0 - pr)
-    return np.exp(mu)
+    return _curvature(d.family, linear_predictor(d, beta))
 
 
 def neg_hessian(d: Dataset, beta) -> np.ndarray:
@@ -166,49 +176,72 @@ def _solve_newton_system(H, g, ridge_fallback):
     return np.linalg.solve(H + ridge * np.eye(H.shape[0]), g)
 
 
-def _newton_mle(M: np.ndarray, y: np.ndarray, family: str, ridge_fallback=True) -> np.ndarray:
-    """Newton-Raphson MLE on a raw model matrix (no Dataset validation)."""
-    d = Dataset.__new__(Dataset)  # lightweight view: bypass re-validation
-    object.__setattr__(d, "design", M)
-    object.__setattr__(d, "response", y)
-    object.__setattr__(d, "family", family)
-    object.__setattr__(d, "intercept", False)
-    object.__setattr__(d, "_model_matrix", M)
+def _stack_eta(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Linear predictors (m, n) of a stack X (m, n, k) at coefficients (m, k)."""
+    return np.matmul(X, beta[:, :, None])[:, :, 0]
 
-    if family == "gaussian":
-        beta, _, rank, _ = np.linalg.lstsq(M, y, rcond=None)
-        if rank < M.shape[1]:
-            if not ridge_fallback:
-                raise SingularDesign("design is rank deficient")
-            warnings.warn(
-                "rank-deficient design; ridge-stabilized least squares",
-                RidgeFallbackWarning,
-                stacklevel=3,
-            )
-            H = M.T @ M
-            ridge = _RIDGE_SCALE * float(np.mean(np.diag(H)))
-            beta = np.linalg.solve(H + ridge * np.eye(H.shape[0]), M.T @ y)
-        return beta
 
-    beta = np.zeros(M.shape[1])
-    ll = loglik(d, beta)
+def _newton_mle(X: np.ndarray, y: np.ndarray, family: str, ridge_fallback=True):
+    """Damped Newton-Raphson MLEs for a stack of model matrices, in lockstep.
+
+    ``X`` is (m, n, k): m logistic or Poisson model matrices over the shared
+    response ``y``.  Every member starts at zero; each round forms all
+    scores and X^T D X with batched ``np.matmul``, solves all Newton systems
+    in one stacked ``np.linalg.solve`` and runs a vectorized step-halving
+    line search (at most 40 trials, accepting ll_new >= ll - 1e-12).  A
+    member whose stacked solve is singular or non-finite is solved alone by
+    :func:`_solve_newton_system` (ridge fallback and its warning included),
+    and a member leaves the stack once its gradient max-norm is at most
+    1e-10.  On a stack of one the arithmetic is that of 2-D products, bit
+    for bit.  Returns ``(beta, ll)``: the (m, k) MLEs and their (m,)
+    log-likelihoods.  Raises :class:`NonConvergence` when any member's line
+    search fails or it is still moving after 100 rounds.
+    """
+    m, _, k = X.shape
+    beta_out = np.empty((m, k))
+    ll_out = np.empty(m)
+    live = np.arange(m)
+    beta = np.zeros((m, k))
+    eta = _stack_eta(X, beta)
+    ll = _eta_loglik(family, y, eta)
     for _ in range(_MLE_MAX_ITER):
-        g = score(d, beta)
-        if np.max(np.abs(g)) <= _MLE_GRAD_TOL:
-            return beta
-        H = neg_hessian(d, beta)
-        step = _solve_newton_system(H, g, ridge_fallback)
-        t = 1.0
-        for _ in range(40):
-            cand = beta + t * step
-            ll_new = loglik(d, cand)
-            if np.isfinite(ll_new) and ll_new >= ll - 1e-12:
+        g = np.matmul(X.transpose(0, 2, 1), (y - _mean(family, eta))[:, :, None])[:, :, 0]
+        done = np.max(np.abs(g), axis=1) <= _MLE_GRAD_TOL
+        if done.any():
+            beta_out[live[done]] = beta[done]
+            ll_out[live[done]] = ll[done]
+            if done.all():
+                return beta_out, ll_out
+            keep = ~done
+            live, X, beta, eta, ll, g = (
+                live[keep], X[keep], beta[keep], eta[keep], ll[keep], g[keep]
+            )
+        H = np.matmul(X.transpose(0, 2, 1), _curvature(family, eta)[:, :, None] * X)
+        try:
+            step = np.linalg.solve(H, g[:, :, None])[:, :, 0]
+            bad = ~np.all(np.isfinite(step), axis=1)
+        except np.linalg.LinAlgError:
+            step = np.empty_like(g)
+            bad = np.ones(len(live), dtype=bool)
+        for i in np.flatnonzero(bad):
+            step[i] = _solve_newton_system(H[i], g[i], ridge_fallback)
+        t = np.ones(len(live))
+        cand = beta + t[:, None] * step
+        eta_new = _stack_eta(X, cand)
+        ll_new = _eta_loglik(family, y, eta_new)
+        todo = ~(np.isfinite(ll_new) & (ll_new >= ll - 1e-12))
+        for _ in range(39):  # halvings after the full step: 40 trials in all
+            if not todo.any():
                 break
-            t *= 0.5
-        else:
+            i = np.flatnonzero(todo)
+            t[i] *= 0.5
+            cand[i] = beta[i] + t[i, None] * step[i]
+            eta_new[i] = _stack_eta(X[i], cand[i])
+            ll_new[i] = _eta_loglik(family, y, eta_new[i])
+            todo[i] = ~(np.isfinite(ll_new[i]) & (ll_new[i] >= ll[i] - 1e-12))
+        if todo.any():
             raise NonConvergence("Newton line search failed to find an ascent step")
-        beta = beta + t * step
-        ll = ll_new
+        beta, eta, ll = cand, eta_new, ll_new
     raise NonConvergence(f"MLE did not converge in {_MLE_MAX_ITER} iterations")
 
 
@@ -220,7 +253,23 @@ def fit_mle(d: Dataset, ridge_fallback: bool = True) -> np.ndarray:
     Raises :class:`SingularDesign` when the Newton system is singular and the
     ridge fallback is disabled, :class:`NonConvergence` after 100 iterations.
     """
-    return _newton_mle(d.model_matrix, d.response, d.family, ridge_fallback)
+    M, y = d.model_matrix, d.response
+    if d.family != "gaussian":
+        beta, _ = _newton_mle(M[None], y, d.family, ridge_fallback)
+        return beta[0]
+    beta, _, rank, _ = np.linalg.lstsq(M, y, rcond=None)
+    if rank < M.shape[1]:
+        if not ridge_fallback:
+            raise SingularDesign("design is rank deficient")
+        warnings.warn(
+            "rank-deficient design; ridge-stabilized least squares",
+            RidgeFallbackWarning,
+            stacklevel=2,
+        )
+        H = M.T @ M
+        ridge = _RIDGE_SCALE * float(np.mean(np.diag(H)))
+        beta = np.linalg.solve(H + ridge * np.eye(H.shape[0]), M.T @ y)
+    return beta
 
 
 def load_csv(path, response: str, family: str, intercept: bool = False):

@@ -35,8 +35,9 @@ def select_lambda(method, d, proto, b0=None, n_lambda=tuning.DEFAULT_N_LAMBDA,
 
     ``proto`` gives the penalty family and shape, ``b0`` the MLE of ``d``.
     The one-step method is fit along its path; the others once per grid
-    point from one MLE of the training data, with ``opts`` (k, eps0, tau0)
-    and a solver failure read as a None fit.
+    point from one MLE of the training data (``b0`` itself when the
+    selector fits all of ``d``), with ``opts`` (k, eps0, tau0) and a solver
+    failure read as a None fit.
     """
     if b0 is None:
         b0 = glm.fit_mle(d)
@@ -44,10 +45,10 @@ def select_lambda(method, d, proto, b0=None, n_lambda=tuning.DEFAULT_N_LAMBDA,
     grid = tuning.default_lambda_grid(lam_max, n_lambda, min_ratio)
     if method == "one_step":
         def fitter(train, g):
-            return lla.one_step_path(train, proto, g)
+            return lla.one_step_path(train, proto, g, b0=b0 if train is d else None)
     else:
         def fitter(train, g):
-            b_train = glm.fit_mle(train)
+            b_train = b0 if train is d else glm.fit_mle(train)
             out = []
             for lam in g:
                 try:

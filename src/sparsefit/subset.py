@@ -18,6 +18,10 @@ from .lla import FitResult
 
 DEFAULT_MAX_P = 20
 
+#: cap on the float64 entries of one stacked (m, n, k) model-matrix array
+#: in a GLM enumeration (128 KiB), so peak memory stays flat in n and p
+_STACK_FLOATS = 1 << 14
+
 CRITERIA = ("aic", "bic")
 
 
@@ -35,7 +39,12 @@ def enumerate_subset_fits(d: glm.Dataset, max_p: int = DEFAULT_MAX_P):
     Returns a list of ``(cols, two_ll, model_beta)`` in (size, lex) order;
     ``model_beta`` is the full-length model vector, zero outside the subset.
     The empty subset is a legal candidate (intercept-only when the dataset
-    has an intercept).
+    has an intercept).  Gaussian subsets are least-squares solves on blocks
+    of the Gram matrix.  Logistic and Poisson subsets of one size are fit in
+    lockstep: their model-matrix columns are gathered into (m, n, k) stacks
+    of at most ``_STACK_FLOATS`` floats each, and each stack runs one
+    batched Newton iteration (:func:`glm._newton_mle`), whose converged
+    log-likelihoods give ``two_ll``.
     """
     p = d.p
     if p > max_p:
@@ -51,23 +60,35 @@ def enumerate_subset_fits(d: glm.Dataset, max_p: int = DEFAULT_MAX_P):
         yy = float(y @ y)
     out = []
     for size in range(p + 1):
-        for cols in itertools.combinations(range(p), size):
-            idx = ([0] if d.intercept else []) + [j + offset for j in cols]
-            beta = np.zeros(d.n_coef)
-            if gaussian:
-                if idx:
+        subsets = list(itertools.combinations(range(p), size))
+        index = np.array(
+            [([0] if d.intercept else []) + [j + offset for j in cols] for cols in subsets],
+            dtype=int,
+        ).reshape(len(subsets), size + offset)
+        if gaussian:
+            for cols, idx in zip(subsets, index):
+                beta = np.zeros(d.n_coef)
+                if idx.size:
                     sub = np.linalg.lstsq(G[np.ix_(idx, idx)], c[idx], rcond=None)[0]
                     beta[idx] = sub
                     rss = yy - 2.0 * c[idx] @ sub + sub @ G[np.ix_(idx, idx)] @ sub
                 else:
                     rss = yy
                 rss = max(float(rss), 1e-300)
-                two_ll = -n * math.log(rss / n)
-            else:
-                if idx:
-                    beta[idx] = glm._newton_mle(M[:, idx], y, d.family)
-                two_ll = 2.0 * glm.loglik(d, beta)
-            out.append((cols, two_ll, beta))
+                out.append((cols, -n * math.log(rss / n), beta))
+        elif index.shape[1] == 0:  # the empty model: no coefficients to fit
+            beta = np.zeros(d.n_coef)
+            out.append(((), 2.0 * glm.loglik(d, beta), beta))
+        else:
+            chunk = max(1, _STACK_FLOATS // (n * index.shape[1]))
+            for lo in range(0, len(subsets), chunk):
+                idx = index[lo:lo + chunk]
+                X = np.ascontiguousarray(M[:, idx].transpose(1, 0, 2))
+                sub, ll = glm._newton_mle(X, y, d.family)
+                for cols, ix, b, ll_i in zip(subsets[lo:lo + chunk], idx, sub, ll):
+                    beta = np.zeros(d.n_coef)
+                    beta[ix] = b
+                    out.append((cols, 2.0 * float(ll_i), beta))
     return out
 
 

@@ -83,6 +83,19 @@ class TestFit:
         )
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("method, flag, value", [("lqa", "--eps0", "-1"),
+                                                     ("plqa", "--tau0", "0"),
+                                                     ("k-step", "--k", "0")])
+    def test_bad_solver_option_is_exit_2(self, runner, toy_csv, method, flag, value):
+        path, _, _ = toy_csv
+        res = runner.invoke(
+            cli.main,
+            ["fit", "--data", str(path), "--response", "y", "--method", method,
+             "--penalty", "scad:lambda=1", flag, value],
+        )
+        assert res.exit_code == 2, res.output
+        assert flag in res.output
+
     def test_lambda_and_cv_conflict(self, runner, toy_csv):
         path, _, _ = toy_csv
         res = runner.invoke(

@@ -252,6 +252,19 @@ class TestRunScenario:
         beta = sim._fit_penalized(spec, spec.methods[0], data, b_full, cv_seed=0)
         assert beta.shape == (spec.p,)
 
+    def test_bic_tuning_reuses_the_full_data_mle(self, monkeypatch):
+        calls = []
+        real = sim.glm.fit_mle
+
+        def counting(d, *args, **kwargs):
+            calls.append(d)
+            return real(d, *args, **kwargs)
+
+        monkeypatch.setattr(sim.glm, "fit_mle", counting)
+        spec = tiny_spec(methods=("one-step:scad", "one-step:log"), n=40, tuning="bic")
+        sim._run_replication(spec, 0)
+        assert len(calls) == 1
+
     def test_repeat_runs_identical(self):
         spec = tiny_spec(methods=("one-step:log",), reps=4, n=40, seed=3)
         a = sim.report_json(sim.run_scenario(spec))

@@ -1,11 +1,12 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sparsefit import glm, subset
-from sparsefit.exceptions import TooManyPredictors
+from sparsefit.exceptions import NonConvergence, RidgeFallbackWarning, TooManyPredictors
 
 from conftest import random_dataset
 
@@ -41,6 +42,29 @@ def independent_best(d, criterion):
             if score > best_score:
                 best, best_score = cols, score
     return best, best_score
+
+
+def per_subset_fits(d):
+    """Oracle for a GLM enumeration: one fit_mle per subset on its own Dataset.
+
+    Maps each subset to ``(two_ll, model_beta)``.
+    """
+    out = {}
+    offset = 1 if d.intercept else 0
+    for size in range(d.p + 1):
+        for cols in itertools.combinations(range(d.p), size):
+            beta = np.zeros(d.n_coef)
+            if cols:
+                sub = glm.Dataset(d.design[:, list(cols)], d.response, d.family, d.intercept)
+            elif d.intercept:
+                sub = glm.Dataset(np.ones((d.n, 1)), d.response, d.family)
+            else:
+                out[cols] = (2.0 * glm.loglik(d, beta), beta)
+                continue
+            b = glm.fit_mle(sub)
+            beta[([0] if d.intercept else []) + [j + offset for j in cols]] = b
+            out[cols] = (2.0 * glm.loglik(sub, b), beta)
+    return out
 
 
 class TestExamples:
@@ -146,3 +170,63 @@ def test_bad_criterion():
     d = random_dataset(0, 10, 2)
     with pytest.raises(ValueError):
         subset.best_subset(d, "hqic")
+
+
+class TestLockstepEnumeration:
+    """GLM subsets are fit as chunked stacks; each must match its own MLE."""
+
+    @pytest.mark.parametrize("family", ["logistic", "poisson"])
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_every_subset_matches_its_own_mle(self, monkeypatch, family, intercept):
+        base = random_dataset(31, 80, 6, family)
+        d = glm.Dataset(base.design, base.response, family, intercept)
+        monkeypatch.setattr(subset, "_STACK_FLOATS", 1000)
+        stacks = []
+        real = glm._newton_mle
+
+        def recording(X, *args, **kwargs):
+            stacks.append(X.shape)
+            return real(X, *args, **kwargs)
+
+        monkeypatch.setattr(glm, "_newton_mle", recording)
+        fits = subset.enumerate_subset_fits(d)
+        # the cap splits one size into several stacks of more than one member
+        per_size = {}
+        for m, _, k in stacks:
+            per_size.setdefault(k, []).append(m)
+        assert max(len(ms) for ms in per_size.values()) > 1
+        assert max(max(ms) for ms in per_size.values()) > 1
+        assert all(m * 80 * k <= 1000 or m == 1 for m, _, k in stacks)
+
+        oracle = per_subset_fits(d)
+        assert [cols for cols, _, _ in fits] == list(oracle)
+        for cols, two_ll, beta in fits:
+            want_ll, want_beta = oracle[cols]
+            assert abs(two_ll - want_ll) <= 1e-9
+            assert np.max(np.abs(beta - want_beta)) <= 1e-10 * max(np.max(np.abs(want_beta)), 1.0)
+
+    @pytest.mark.parametrize("family", ["logistic", "poisson"])
+    def test_duplicated_column_takes_the_ridge_fallback(self, family):
+        base = random_dataset(37, 80, 4, family)
+        X = base.design.copy()
+        X[:, 1] = X[:, 0]
+        d = glm.Dataset(X, base.response, family)
+        with pytest.warns(RidgeFallbackWarning):
+            fits = subset.enumerate_subset_fits(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RidgeFallbackWarning)
+            oracle = per_subset_fits(d)
+        # beta is not unique on a singular design; the likelihood is
+        for cols, two_ll, _ in fits:
+            assert abs(two_ll - oracle[cols][0]) <= 1e-8
+        lam_crit = subset.criterion_multiplier("bic", d.n)
+        want = max(oracle, key=lambda cols: (oracle[cols][0] - lam_crit * len(cols),
+                                             -len(cols)))
+        (cols, _, _), _, _ = subset.select_from_enumeration(fits, "bic", d.n)
+        assert cols == want
+
+    def test_nonconvergence_propagates(self, monkeypatch):
+        d = random_dataset(41, 60, 3, "logistic")
+        monkeypatch.setattr(glm, "_MLE_MAX_ITER", 1)
+        with pytest.raises(NonConvergence):
+            subset.enumerate_subset_fits(d)

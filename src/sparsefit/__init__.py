@@ -17,7 +17,7 @@ from .exceptions import (
     TooManyPredictors,
 )
 from .glm import Dataset, curvature_weights, fit_mle, loglik, neg_hessian
-from .lla import FitResult, WorkingData, full_lla, k_step, one_step, one_step_path
+from .lla import FitResult, full_lla, k_step, one_step, one_step_path
 from .lqa import lqa_fit, perturbed_lqa_fit
 from .penalty import PenaltySpec, derivative, lqa_coefficient, parse_penalty, value
 from .sim import ScenarioSpec, SimulationReport, run_scenario
@@ -43,7 +43,6 @@ __all__ = [
     "TooManyPredictors",
     "WlassoProblem",
     "WlassoSolution",
-    "WorkingData",
     "best_subset",
     "certify_kkt",
     "curvature_weights",

@@ -3,13 +3,13 @@
 The local linear approximation replaces each penalty term by its tangent
 line at the current iterate, so every step is a weighted-L1 least squares
 problem.  The one-step estimator starts from the unpenalized MLE and takes a
-single step; it is computed through working data that turn the step into a
-plain lasso: separable penalties (l1/lq/log) rescale columns by the
-lambda-free derivative, SCAD splits coordinates into an unpenalized block U
-(derivative zero) and a penalized block V, projects U out, and back-solves.
+single step, built once per penalty route as a plain lasso: a separable
+penalty (l1/lq/log) divides each column by its lambda-free derivative
+p'(|b0_j|) and applies the single level n * lambda; SCAD splits the
+coordinates into an unpenalized block U (derivative zero) and a penalized
+block V, projects U out, solves the lasso on V, and back-solves U.
 """
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -49,28 +49,6 @@ class FitResult:
         object.__setattr__(self, "support", tuple(int(j) for j in self.support))
 
 
-@dataclass(frozen=True)
-class WorkingData:
-    """Transformed design/response for one LLA step.
-
-    ``u_set`` holds unpenalized model coordinates (zero derivative, plus the
-    intercept), ``v_set`` the penalized ones, ``pinned`` those with an
-    infinite (or capped) derivative.  ``scale_factors`` map working-problem
-    coefficients back to the original parameterization.  For the SCAD route
-    the U block is projected out of the response and the V columns; the
-    projected pieces are carried alongside.
-    """
-
-    wdesign: np.ndarray
-    wresponse: np.ndarray
-    u_set: tuple
-    v_set: tuple
-    pinned: tuple
-    scale_factors: np.ndarray
-    proj_response: np.ndarray | None = None
-    proj_design_v: np.ndarray | None = None
-
-
 def _predictor_indices(d: glm.Dataset):
     """Model-vector indices of the penalized (predictor) coordinates."""
     return range(1, d.n_coef) if d.intercept else range(d.n_coef)
@@ -83,51 +61,28 @@ def penalized_objective(d: glm.Dataset, beta, p: PenaltySpec) -> float:
     return glm.loglik(d, beta) - d.n * pen
 
 
-def build_working_data_type1(d: glm.Dataset, b0, p: PenaltySpec) -> WorkingData:
-    """Working data for separable penalties: columns divided by p'(|b0_j|).
-
-    Coordinates whose penalized derivative is infinite or above the weight
-    cap go to the pinned set; the intercept, when present, is carried as an
-    unpenalized column.
-    """
-    if not p.is_type1:
-        raise FamilyMismatch(f"type-1 working data does not admit {p.family!r}")
-    b0 = np.asarray(b0, dtype=float)
-    M = d.model_matrix
-    sqrt_d = np.sqrt(glm.curvature_weights(d, b0))
-    mu = M @ b0
-    ystar = sqrt_d * mu
-    scales = np.ones(d.n_coef)
-    u_set, v_set, pinned = [], [], []
-    if d.intercept:
-        u_set.append(0)
-    cols = np.empty_like(M)
-    if d.intercept:
-        cols[:, 0] = sqrt_d * M[:, 0]
-    for j in _predictor_indices(d):
-        t = abs(b0[j])
-        d_lam = penalty.derivative(p, t)
-        pd = penalty.unit_derivative(p, t)
-        if d_lam > WEIGHT_CAP:
-            pinned.append(j)
-            scales[j] = 0.0
-            cols[:, j] = 0.0
-        else:
-            v_set.append(j)
-            scale = 1.0 / pd if math.isfinite(pd) and pd > 0.0 else 0.0
-            scales[j] = scale
-            cols[:, j] = sqrt_d * M[:, j] * scale
-    return WorkingData(cols, ystar, tuple(u_set), tuple(v_set), tuple(pinned), scales)
-
-
 def _separable_problem(d: glm.Dataset, b0, p: PenaltySpec):
     """Lambda-free one-step working problem of a separable penalty, with its
-    scale factors; level lambda is its weight profile u (n, 0 or +inf) * lambda."""
-    wd = build_working_data_type1(d, b0, replace(p, lam=1.0))
+    scale factors; level lambda is its weight profile u * lambda.
+
+    Each predictor column is sqrt(D) x_j / p'(|b0_j|) with u_j = n, where p'
+    is the derivative at lambda = 1; a coordinate whose p' exceeds the weight
+    cap is pinned (u_j = +inf, scale and column 0).  The intercept, when
+    present, is an unpenalized column (u_0 = 0).
+    """
+    unit = replace(p, lam=1.0)
+    M = d.model_matrix
+    sqrt_d = np.sqrt(glm.curvature_weights(d, b0))
+    scales = np.ones(d.n_coef)
     u = np.zeros(d.n_coef)
-    u[list(wd.v_set)] = d.n
-    u[list(wd.pinned)] = np.inf
-    return wlasso.WlassoProblem(wd.wdesign, wd.wresponse, u), wd.scale_factors
+    for j in _predictor_indices(d):
+        pd = penalty.derivative(unit, abs(b0[j]))
+        if pd > WEIGHT_CAP:
+            scales[j], u[j] = 0.0, np.inf
+        else:
+            scales[j], u[j] = 1.0 / pd, d.n
+    prob = wlasso.WlassoProblem(sqrt_d[:, None] * M * scales, sqrt_d * (M @ b0), u)
+    return prob, scales
 
 
 def _level_weights(u, lam):
@@ -168,29 +123,28 @@ def _scad_split(d: glm.Dataset, b0, p: PenaltySpec):
     return u_set, v_set, scales
 
 
-def build_working_data_type2(d: glm.Dataset, b0, p: PenaltySpec) -> WorkingData:
-    """SCAD working data: scale V columns by lambda/p'_lam, project out U."""
-    if p.family != "scad":
-        raise FamilyMismatch("type-2 working data is the SCAD route")
-    b0 = np.asarray(b0, dtype=float)
+def _scad_one_step(d: glm.Dataset, b0, p: PenaltySpec, tol):
+    """SCAD one step on the n-row working data: scale the V columns by
+    lambda / p'_lam(|b0_j|), project the U block out of the response and the
+    V columns, solve the lasso on V at level n * lambda, and back-solve U by
+    least squares."""
     M = d.model_matrix
     sqrt_d = np.sqrt(glm.curvature_weights(d, b0))
-    mu = M @ b0
-    ystar = sqrt_d * mu
+    ystar = sqrt_d * (M @ b0)
     u_set, v_set, scales = _scad_split(d, b0, p)
     Xstar = sqrt_d[:, None] * M
     Xstar[:, v_set] *= scales[v_set]
-    Q = _column_projector(Xstar[:, u_set]) if u_set else None
     Xv = Xstar[:, v_set]
-    if Q is not None and Q.shape[1] > 0:
-        proj_response = ystar - Q @ (Q.T @ ystar)
-        proj_design_v = Xv - Q @ (Q.T @ Xv)
-    else:
-        proj_response = ystar.copy()
-        proj_design_v = Xv.copy()
-    return WorkingData(
-        Xstar, ystar, tuple(u_set), tuple(v_set), (), scales, proj_response, proj_design_v
+    Q = _column_projector(Xstar[:, u_set])
+    prob = wlasso.WlassoProblem(
+        Xv - Q @ (Q.T @ Xv), ystar - Q @ (Q.T @ ystar), np.full(len(v_set), d.n * p.lam)
     )
+    beta_v = wlasso.solve(prob, tol=tol).beta
+    beta = np.zeros(d.n_coef)
+    if u_set:
+        beta[u_set] = np.linalg.lstsq(Xstar[:, u_set], ystar - Xv @ beta_v, rcond=None)[0]
+    beta[v_set] = beta_v * scales[v_set]
+    return beta
 
 
 def _result_from_model_vector(d, beta_model, lam, method, trace, iterations, converged=True):
@@ -199,31 +153,10 @@ def _result_from_model_vector(d, beta_model, lam, method, trace, iterations, con
     return FitResult(coef, support, float(lam), method, tuple(trace), iterations, intercept, converged)
 
 
-def _lstsq_coef(X, rhs):
-    if X.shape[1] == 0:
-        return np.zeros(0)
-    sol, _, _, _ = np.linalg.lstsq(X, rhs, rcond=None)
-    return sol
-
-
 def _one_step_model_vector(d, p, b0, tol):
-    """One LLA step from b0 through the working-data construction."""
-    n = d.n
+    """One LLA step from b0 through the penalty's working problem."""
     if p.family == "scad":
-        wd = build_working_data_type2(d, b0, p)
-        v = list(wd.v_set)
-        if v:
-            prob = wlasso.WlassoProblem(wd.proj_design_v, wd.proj_response, np.full(len(v), n * p.lam))
-            beta_v = wlasso.solve(prob, tol=tol).beta
-        else:
-            beta_v = np.zeros(0)
-        u = list(wd.u_set)
-        rhs = wd.wresponse - (wd.wdesign[:, v] @ beta_v if v else 0.0)
-        beta_u = _lstsq_coef(wd.wdesign[:, u], rhs)
-        beta = np.zeros(d.n_coef)
-        beta[u] = beta_u
-        beta[v] = beta_v * wd.scale_factors[v]
-        return beta
+        return _scad_one_step(d, b0, p, tol)
     prob, scales = _separable_problem(d, b0, p)
     prob = replace(prob, weights=_level_weights(prob.weights, p.lam))
     return wlasso.solve(prob, tol=tol).beta * scales
@@ -232,7 +165,7 @@ def _one_step_model_vector(d, p, b0, tol):
 def one_step(d: glm.Dataset, p: PenaltySpec, b0=None, tol: float = DEFAULT_TOL) -> FitResult:
     """One-step LLA estimator started from ``b0`` (default: the MLE).
 
-    Builds the working data for the penalty's route, solves the weighted-L1
+    Builds the working problem for the penalty's route, solves the weighted-L1
     problem at penalty level ``n * lam``, and maps the solution back; zeros
     are exact.
     """

@@ -13,9 +13,6 @@ SCAD_DEFAULT_A = 3.7
 
 FAMILIES = ("scad", "lq", "log", "l1")
 
-#: families of the form p_lam(t) = lam * p(t) with p'(t) > 0 wherever finite
-TYPE1_FAMILIES = ("lq", "log", "l1")
-
 
 @dataclass(frozen=True)
 class PenaltySpec:
@@ -41,10 +38,6 @@ class PenaltySpec:
             raise ValueError("SCAD requires a > 2")
         if self.family == "lq" and not 0.0 < self.q < 1.0:
             raise ValueError("bridge penalty requires 0 < q < 1")
-
-    @property
-    def is_type1(self) -> bool:
-        return self.family in TYPE1_FAMILIES
 
 
 def value(p: PenaltySpec, t: float) -> float:
@@ -93,27 +86,6 @@ def derivative(p: PenaltySpec, t: float) -> float:
     if t <= lam:
         return lam
     return max(a * lam - t, 0.0) / (a - 1.0)
-
-
-def unit_derivative(p: PenaltySpec, t: float) -> float:
-    """Derivative of the lambda-free profile p(t) for separable families.
-
-    For families with p_lam(t) = lam * p(t) this is p'(t), i.e.
-    ``derivative(p, t) / lam``; the column scaling of the one-step working
-    design uses it so the single penalty level ``n * lam`` can be applied
-    uniformly.  SCAD is not separable in lambda.
-    """
-    if not p.is_type1:
-        from .exceptions import FamilyMismatch
-
-        raise FamilyMismatch("lambda-free derivative is defined only for l1/lq/log")
-    if t < 0.0:
-        raise ValueError("penalty argument must be nonnegative")
-    if p.family == "l1":
-        return 1.0
-    if p.family == "lq":
-        return math.inf if t == 0.0 else p.q * t ** (p.q - 1.0)
-    return math.inf if t == 0.0 else 1.0 / t
 
 
 def lqa_coefficient(p: PenaltySpec, t0: float, tau0: float = 0.0) -> float:

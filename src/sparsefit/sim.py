@@ -291,7 +291,7 @@ def _replication_worker(args):
     spec, rep_index = args
     try:
         return _run_replication(spec, rep_index)
-    except Exception as exc:  # failures are recorded, not fatal
+    except tuning.SOLVER_ERRORS as exc:  # solver failures are recorded, not fatal
         return f"failed: {type(exc).__name__}: {exc}"
 
 

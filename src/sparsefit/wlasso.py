@@ -53,7 +53,6 @@ class WlassoSolution:
     beta: np.ndarray
     objective: float
     kkt_residual: float
-    sweep_objectives: tuple = ()
 
 
 def objective(prob: WlassoProblem, beta) -> float:
@@ -75,15 +74,7 @@ def certify_kkt(prob: WlassoProblem, beta) -> float:
     """
     beta = np.asarray(beta, dtype=float)
     g = prob.wdesign.T @ (prob.wresponse - prob.wdesign @ beta)
-    worst = 0.0
-    for j in range(prob.p):
-        v = prob.weights[j]
-        if beta[j] == 0.0:
-            viol = max(abs(g[j]) - v, 0.0) if np.isfinite(v) else 0.0
-        else:
-            viol = abs(g[j] - v * np.sign(beta[j]))
-        worst = max(worst, viol)
-    return float(worst)
+    return float(_kkt_from_grad(g, prob.weights, beta))
 
 
 def lambda_max(prob: WlassoProblem) -> float:
@@ -150,8 +141,7 @@ def _kkt_from_grad(c, w, beta):
     return max(worst, 0.0)
 
 
-def solve_gram(G, b, weights, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS, x0=None,
-               objective_cb=None):
+def solve_gram(G, b, weights, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS, x0=None):
     """Coordinate descent given Gram matrix G = X^T X and b = X^T y.
 
     Infinite weights are removed before iteration (their coordinates are
@@ -186,8 +176,6 @@ def solve_gram(G, b, weights, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS, x0
     while sweeps < max_sweeps:
         maxd = _sweep(Gk, c, w, beta, gjj, all_idx)
         sweeps += 1
-        if objective_cb is not None:
-            objective_cb(_expand(beta_full, keep, beta))
         if maxd <= tol:
             c = bk - Gk @ beta  # refresh: incremental updates drift
             kkt = _kkt_from_grad(c, w, beta)
@@ -201,8 +189,6 @@ def solve_gram(G, b, weights, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS, x0
                 break
             maxd = _sweep(Gk, c, w, beta, gjj, active)
             sweeps += 1
-            if objective_cb is not None:
-                objective_cb(_expand(beta_full, keep, beta))
             if maxd <= tol:
                 break
     else:
@@ -225,8 +211,7 @@ def _expand(template, keep, beta):
 
 
 def solve(prob: WlassoProblem, tol: float = DEFAULT_TOL,
-          max_sweeps: int = DEFAULT_MAX_SWEEPS, x0=None,
-          record_sweeps: bool = False) -> WlassoSolution:
+          max_sweeps: int = DEFAULT_MAX_SWEEPS, x0=None) -> WlassoSolution:
     """Solve the weighted-L1 problem to stationarity.
 
     Raises :class:`NonConvergence` after ``max_sweeps`` coordinate sweeps.
@@ -235,10 +220,8 @@ def solve(prob: WlassoProblem, tol: float = DEFAULT_TOL,
         raise ValueError("tol must be positive")
     G = prob.wdesign.T @ prob.wdesign
     b = prob.wdesign.T @ prob.wresponse
-    trace = []
-    cb = (lambda beta: trace.append(objective(prob, beta))) if record_sweeps else None
-    beta, kkt, _ = solve_gram(G, b, prob.weights, tol, max_sweeps, x0, objective_cb=cb)
-    return WlassoSolution(beta, objective(prob, beta), kkt, tuple(trace))
+    beta, kkt, _ = solve_gram(G, b, prob.weights, tol, max_sweeps, x0)
+    return WlassoSolution(beta, objective(prob, beta), kkt)
 
 
 def solve_path(prob: WlassoProblem, lambda_grid, tol: float = DEFAULT_TOL,

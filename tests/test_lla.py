@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparsefit import glm, lla, penalty, tuning, wlasso
-from sparsefit.exceptions import FamilyMismatch
+from sparsefit.exceptions import FamilyMismatch, SingularProjectionWarning
 from sparsefit.penalty import PenaltySpec
 
 from conftest import orthonormal_gaussian, random_dataset
@@ -24,51 +24,53 @@ def naive_problem(d, pen, b0):
 
 
 class TestWorkingDataType1:
+    """Separable (l1/lq/log) working data: ``lla._separable_problem``."""
+
     def test_l1_gaussian_is_identity(self):
         d = random_dataset(0, 12, 3)
         b0 = np.array([0.5, -1.0, 2.0])
-        wd = lla.build_working_data_type1(d, b0, PenaltySpec("l1", 2.0))
-        assert np.allclose(wd.wdesign, d.design)
-        assert np.allclose(wd.wresponse, d.design @ b0)
-        assert wd.pinned == ()
-        assert np.all(wd.scale_factors == 1.0)
+        prob, scales = lla._separable_problem(d, b0, PenaltySpec("l1", 2.0))
+        assert np.allclose(prob.wdesign, d.design)
+        assert np.allclose(prob.wresponse, d.design @ b0)
+        assert np.all(prob.weights == d.n)
+        assert np.all(scales == 1.0)
 
     def test_log_zero_coordinate_pinned(self):
         d = random_dataset(0, 12, 3)
         b0 = np.array([0.5, 0.0, 2.0])
-        wd = lla.build_working_data_type1(d, b0, PenaltySpec("log", 2.0))
-        assert wd.pinned == (1,)
-        assert np.all(wd.wdesign[:, 1] == 0.0)
-        assert wd.scale_factors[1] == 0.0
+        prob, scales = lla._separable_problem(d, b0, PenaltySpec("log", 2.0))
+        assert np.isinf(prob.weights[1]) and np.all(np.isfinite(prob.weights[[0, 2]]))
+        assert np.all(prob.wdesign[:, 1] == 0.0)
+        assert scales[1] == 0.0
 
     def test_lq_column_scaling(self):
         d = random_dataset(0, 12, 3)
         b0 = np.array([4.0, 1.0, 1.0])
-        wd = lla.build_working_data_type1(d, b0, PenaltySpec("lq", 1.0, q=0.5))
+        prob, scales = lla._separable_problem(d, b0, PenaltySpec("lq", 1.0, q=0.5))
         # p'(4) = 0.5 * 4^{-0.5} = 0.25, so the column grows by 4
-        assert np.allclose(wd.wdesign[:, 0], 4.0 * d.design[:, 0])
-        assert wd.scale_factors[0] == pytest.approx(4.0)
-
-    def test_rejects_scad(self):
-        d = random_dataset(0, 12, 3)
-        with pytest.raises(FamilyMismatch):
-            lla.build_working_data_type1(d, np.zeros(3), SCAD2)
+        assert np.allclose(prob.wdesign[:, 0], 4.0 * d.design[:, 0])
+        assert scales[0] == pytest.approx(4.0)
 
 
 class TestWorkingDataType2:
+    """SCAD working data: the U/V split ``lla._scad_split`` and the single fit."""
+
     def test_empty_u_is_no_projection(self):
         d = random_dataset(1, 14, 3)
         b0 = np.array([0.5, -1.0, 1.5])  # all below a*lam: V only
-        wd = lla.build_working_data_type2(d, b0, SCAD2)
-        assert wd.u_set == ()
-        assert np.allclose(wd.proj_response, wd.wresponse)
+        u_set, v_set, scales = lla._scad_split(d, b0, SCAD2)
+        assert u_set == [] and v_set == [0, 1, 2]
+        # with nothing to project, the step is the lasso on the scaled columns
+        prob = wlasso.WlassoProblem(d.design * scales, d.design @ b0, np.full(3, d.n * SCAD2.lam))
+        expect = wlasso.solve(prob).beta * scales
+        assert np.allclose(lla.one_step(d, SCAD2, b0=b0).coefficients, expect, atol=1e-8)
 
     def test_all_big_coefficients_reduce_to_ols(self):
         d = random_dataset(2, 20, 3)
         b0 = np.array([9.0, -8.0, 10.0])  # all beyond a*lam = 7.4
-        wd = lla.build_working_data_type2(d, b0, SCAD2)
-        assert wd.v_set == ()
-        assert set(wd.u_set) == {0, 1, 2}
+        u_set, v_set, _ = lla._scad_split(d, b0, SCAD2)
+        assert v_set == []
+        assert set(u_set) == {0, 1, 2}
         fit = lla.one_step(d, SCAD2, b0=b0)
         ols = np.linalg.lstsq(d.design, d.design @ b0, rcond=None)[0]
         assert np.allclose(fit.coefficients, ols, atol=1e-8)
@@ -76,14 +78,18 @@ class TestWorkingDataType2:
     def test_unit_scale_at_lambda(self):
         d = random_dataset(3, 14, 3)
         b0 = np.array([1.0, 9.0, 9.0])  # p'_lam(1) = lam -> scale 1
-        wd = lla.build_working_data_type2(d, b0, SCAD2)
-        assert wd.scale_factors[0] == pytest.approx(1.0)
-        assert 0 in wd.v_set
+        _, v_set, scales = lla._scad_split(d, b0, SCAD2)
+        assert scales[0] == pytest.approx(1.0)
+        assert 0 in v_set
 
-    def test_rejects_type1_families(self):
-        d = random_dataset(0, 12, 3)
-        with pytest.raises(FamilyMismatch):
-            lla.build_working_data_type2(d, np.zeros(3), PenaltySpec("l1", 2.0))
+    def test_rank_deficient_u_block_warns(self):
+        d0 = random_dataset(4, 20, 3)
+        d = glm.Dataset(np.column_stack([d0.design, d0.design[:, 0]]), d0.response, "gaussian")
+        b0 = np.array([9.0, 0.5, 0.3, 9.0])  # both copies beyond a*lam: one rank in U
+        assert lla._scad_split(d, b0, SCAD2)[0] == [0, 3]
+        with pytest.warns(SingularProjectionWarning):
+            fit = lla.one_step(d, SCAD2, b0=b0)
+        assert np.all(np.isfinite(fit.coefficients))
 
 
 class TestOneStepOrthonormal:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,17 +179,12 @@ class TestParsing:
 
 
 def test_unit_derivative_matches_scaled_derivative():
-    for spec in ALL:
-        if spec.family == "scad":
-            continue
-        for t in (0.5, 1.0, 4.0):
-            assert spec.lam * penalty.unit_derivative(spec, t) == pytest.approx(
-                penalty.derivative(spec, t), rel=1e-12
+    # the separable one-step working problem scales columns by the lambda = 1
+    # derivative and applies lambda as one level, which needs p'_lam = lam * p'_1
+    for spec in (PenaltySpec("l1", 0.3), PenaltySpec("lq", 0.3, q=0.5),
+                 PenaltySpec("lq", 2.0, q=0.01), PenaltySpec("log", 0.3), *ALL[1:]):
+        unit = replace(spec, lam=1.0)
+        for t in (0.0, 0.5, 1.0, 4.0):
+            assert penalty.derivative(spec, t) == pytest.approx(
+                spec.lam * penalty.derivative(unit, t), rel=1e-15
             )
-
-
-def test_unit_derivative_rejects_scad():
-    from sparsefit.exceptions import FamilyMismatch
-
-    with pytest.raises(FamilyMismatch):
-        penalty.unit_derivative(SCAD2, 1.0)

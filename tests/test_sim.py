@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsefit import sim
+from sparsefit.exceptions import NonConvergence
 from sparsefit.sim import MethodSpec, ScenarioSpec, parse_method
 
 
@@ -283,7 +284,7 @@ class TestRunScenario:
 
         def flaky(s, r):
             if r == 0:
-                raise RuntimeError("boom")
+                raise NonConvergence("boom")
             return real(s, r)
 
         monkeypatch.setattr(sim, "_run_replication", flaky)
@@ -291,3 +292,16 @@ class TestRunScenario:
         assert rep.failures == 1
         assert rep.replications_used == 3
         assert not rep.valid  # 25% > 2%
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        spec = tiny_spec(methods=("oracle",), reps=4)
+        real = sim._run_replication
+
+        def buggy(s, r):
+            if r == 0:
+                raise RuntimeError("boom")
+            return real(s, r)
+
+        monkeypatch.setattr(sim, "_run_replication", buggy)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run_scenario(spec)

@@ -298,19 +298,27 @@ def full_lla(d: glm.Dataset, p: PenaltySpec, b0=None, tol: float = DEFAULT_TOL,
     raise NonConvergence(f"LLA did not converge in {max_iter} iterations", result=partial)
 
 
-def _psolve(A, B):
-    """Solve A X = B for a symmetric PSD block, pseudo-inverting if needed."""
-    if A.shape[0] == 0:
-        return np.zeros(B.shape) if B.ndim > 1 else np.zeros(0)
-    try:
-        return np.linalg.solve(A, B)
-    except np.linalg.LinAlgError:
-        warnings.warn(
-            "rank-deficient unpenalized block; using pseudo-inverse projection",
-            SingularProjectionWarning,
-            stacklevel=3,
-        )
-        return np.linalg.pinv(A) @ B
+def _psolver(A):
+    """Solver of A X = B for one symmetric PSD block, pseudo-inverting if
+    needed.  Singularity is decided by the first solve; from then on every
+    right-hand side reuses one pinv(A), so the block warns once."""
+    pinv = None
+
+    def solve(B):
+        nonlocal pinv
+        if pinv is None:
+            try:
+                return np.linalg.solve(A, B)
+            except np.linalg.LinAlgError:
+                warnings.warn(
+                    "rank-deficient unpenalized block; using pseudo-inverse projection",
+                    SingularProjectionWarning,
+                    stacklevel=3,
+                )
+                pinv = np.linalg.pinv(A)
+        return pinv @ B
+
+    return solve
 
 
 def one_step_lambda_max(d: glm.Dataset, p: PenaltySpec, b0=None) -> float:
@@ -380,11 +388,11 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None,
             u_idx, v_idx, s = _scad_split(d, b0, PenaltySpec("scad", float(lam), a=p.a))
             Gs = (s[:, None] * H) * s[None, :]
             bs = s * bvec
-            A = Gs[np.ix_(u_idx, u_idx)]
+            psolve = _psolver(Gs[np.ix_(u_idx, u_idx)])
             if v_idx:
                 Gvu = Gs[np.ix_(v_idx, u_idx)]
                 if u_idx:
-                    K = _psolve(A, np.column_stack([Gvu.T, bs[u_idx]]))
+                    K = psolve(np.column_stack([Gvu.T, bs[u_idx]]))
                     Gschur = Gs[np.ix_(v_idx, v_idx)] - Gvu @ K[:, :-1]
                     bschur = bs[v_idx] - Gvu @ K[:, -1]
                 else:
@@ -401,7 +409,7 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None,
             beta = np.zeros(d.n_coef)
             if u_idx:
                 rhs = bs[u_idx] - (Gs[np.ix_(u_idx, v_idx)] @ beta_v if v_idx else 0.0)
-                beta[u_idx] = _psolve(A, rhs)
+                beta[u_idx] = psolve(rhs)
             beta[v_idx] = beta_v * s[v_idx]
             prev_beta = beta
             out.append(_result_from_model_vector(d, beta, lam, "one_step", (), 1))

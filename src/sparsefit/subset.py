@@ -69,9 +69,10 @@ def enumerate_subset_fits(d: glm.Dataset, max_p: int = DEFAULT_MAX_P):
             for cols, idx in zip(subsets, index):
                 beta = np.zeros(d.n_coef)
                 if idx.size:
-                    sub = np.linalg.lstsq(G[np.ix_(idx, idx)], c[idx], rcond=None)[0]
+                    Gs, cs = G[np.ix_(idx, idx)], c[idx]
+                    sub = np.linalg.lstsq(Gs, cs, rcond=None)[0]
                     beta[idx] = sub
-                    rss = yy - 2.0 * c[idx] @ sub + sub @ G[np.ix_(idx, idx)] @ sub
+                    rss = yy - 2.0 * cs @ sub + sub @ Gs @ sub
                 else:
                     rss = yy
                 rss = max(float(rss), 1e-300)

@@ -5,6 +5,13 @@ an exact zero).  The solver is cyclic coordinate descent over a precomputed
 Gram matrix, with active-set sweeps and warm starts; a pathwise driver walks
 a descending lambda grid reusing the Gram work.  Solutions are certified
 against the subgradient optimality conditions before being returned.
+
+The coordinate loop runs on Python floats and lists (Gram columns, gradient,
+weights, iterate), not on numpy arrays: the problems are small (p <= ~20),
+so indexing and arithmetic on numpy scalars would cost more than the
+arithmetic itself.  Both are IEEE-754 binary64 with round-to-nearest, and
+each update performs the same operations in the same order as the array
+form, so the iterates are bit-for-bit those of a numpy loop.
 """
 
 from dataclasses import dataclass
@@ -74,7 +81,7 @@ def certify_kkt(prob: WlassoProblem, beta) -> float:
     """
     beta = np.asarray(beta, dtype=float)
     g = prob.wdesign.T @ (prob.wresponse - prob.wdesign @ beta)
-    return float(_kkt_from_grad(g, prob.weights, beta))
+    return float(_kkt_from_grad(g.tolist(), prob.weights.tolist(), beta.tolist()))
 
 
 def lambda_max(prob: WlassoProblem) -> float:
@@ -97,29 +104,36 @@ def lambda_max(prob: WlassoProblem) -> float:
     return float(np.max(corr)) * (1.0 + 1e-10)
 
 
-def _soft(z: float, t: float) -> float:
-    if z > t:
-        return z - t
-    if z < -t:
-        return z + t
-    return 0.0
-
-
-def _sweep(G, c, w, beta, gjj, idx):
+def _sweep(cols, c, w, beta, gjj, idx):
     """One cyclic pass over ``idx``; returns the largest coefficient change.
 
     ``c`` holds b - G beta (the stationarity gradient) and is updated in
-    place as coordinates move.
+    place as coordinates move; ``cols[j]`` is column j of G.  All arguments
+    are lists of Python floats.  ``c[i] -= col[i] * delta`` rounds the
+    product, then the difference, exactly as ``c -= G[:, j] * delta`` does
+    on arrays (CPython fuses no multiply-add), so the sweep is bit-identical
+    to its numpy form while skipping the per-element cost of numpy scalars.
     """
     maxd = 0.0
+    rows = range(len(c))
     for j in idx:
-        if gjj[j] <= 0.0:
+        gj = gjj[j]
+        if gj <= 0.0:
             continue  # zero column: coordinate is indeterminate, keep 0
-        z = c[j] + gjj[j] * beta[j]
-        new = _soft(z, w[j]) / gjj[j]
-        delta = new - beta[j]
+        bj = beta[j]
+        z = c[j] + gj * bj
+        t = w[j]
+        if z > t:
+            new = (z - t) / gj
+        elif z < -t:
+            new = (z + t) / gj
+        else:
+            new = 0.0
+        delta = new - bj
         if delta != 0.0:
-            c -= G[:, j] * delta
+            col = cols[j]
+            for i in rows:
+                c[i] -= col[i] * delta
             beta[j] = new
             ad = abs(delta)
             if ad > maxd:
@@ -128,16 +142,22 @@ def _sweep(G, c, w, beta, gjj, idx):
 
 
 def _kkt_from_grad(c, w, beta):
+    """Largest stationarity violation for gradient ``c`` (sequences of floats).
+
+    A nonzero coordinate contributes |c_j - w_j sign(b_j)|, written without
+    the sign product: multiplying by +-1 is exact, so the bits are the same.
+    A NaN coordinate makes the whole gradient NaN, which never counts.
+    """
     worst = 0.0
-    for j in range(beta.shape[0]):
-        if beta[j] == 0.0:
-            viol = abs(c[j]) - w[j]
-            if viol > worst:
-                worst = viol
+    for cj, wj, bj in zip(c, w, beta):
+        if bj == 0.0:
+            viol = abs(cj) - wj
+        elif bj > 0.0:
+            viol = abs(cj - wj)
         else:
-            viol = abs(c[j] - w[j] * np.sign(beta[j]))
-            if viol > worst:
-                worst = viol
+            viol = abs(cj + wj)
+        if viol > worst:
+            worst = viol
     return max(worst, 0.0)
 
 
@@ -158,9 +178,8 @@ def solve_gram(G, b, weights, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS, x0
     if not np.any(finite):
         return beta_full, 0.0, 0
     keep = np.where(finite)[0]
-    Gk = np.ascontiguousarray(G[np.ix_(keep, keep)])
+    Gk = np.ascontiguousarray(G if keep.shape[0] == p else G[np.ix_(keep, keep)])
     bk = b[keep]
-    w = w_full[keep]
     gjj = np.diag(Gk).copy()
     m = keep.shape[0]
     beta = np.zeros(m)
@@ -168,26 +187,30 @@ def solve_gram(G, b, weights, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS, x0
         x0 = np.asarray(x0, dtype=float)
         beta = x0[keep].copy()
         beta[gjj <= 0.0] = 0.0
-    c = bk - Gk @ beta
+    c = (bk - Gk @ beta).tolist()
+    beta = beta.tolist()
+    cols = Gk.T.tolist()
+    w = w_full[keep].tolist()
+    gjj = gjj.tolist()
 
-    all_idx = np.arange(m)
+    all_idx = range(m)
     sweeps = 0
     kkt = np.inf
     while sweeps < max_sweeps:
-        maxd = _sweep(Gk, c, w, beta, gjj, all_idx)
+        maxd = _sweep(cols, c, w, beta, gjj, all_idx)
         sweeps += 1
         if maxd <= tol:
-            c = bk - Gk @ beta  # refresh: incremental updates drift
+            c = (bk - Gk @ np.array(beta)).tolist()  # refresh: incremental updates drift
             kkt = _kkt_from_grad(c, w, beta)
             if kkt <= 10.0 * tol:
                 break
             continue
         # active-set refinement between full sweeps
         while sweeps < max_sweeps:
-            active = np.where((beta != 0.0) | (w == 0.0))[0]
-            if active.size == 0:
+            active = [j for j in all_idx if beta[j] != 0.0 or w[j] == 0.0]
+            if not active:
                 break
-            maxd = _sweep(Gk, c, w, beta, gjj, active)
+            maxd = _sweep(cols, c, w, beta, gjj, active)
             sweeps += 1
             if maxd <= tol:
                 break

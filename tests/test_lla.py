@@ -280,6 +280,20 @@ class TestPath:
         with pytest.raises(ValueError):
             lla.one_step_path(d, SCAD2, [0.1, 0.2])
 
+    @pytest.mark.parametrize("n_points", [1, 3])
+    def test_rank_deficient_u_block_warns_once_per_point(self, n_points):
+        d0 = random_dataset(4, 30, 4)
+        d = glm.Dataset(np.column_stack([d0.design, d0.design[:, 0]]), d0.response, "gaussian")
+        b0 = np.array([9.0, 0.5, 0.3, 0.2, 9.0])  # both copies beyond a*lam: one rank in U
+        grid = [2.0, 1.5, 1.0][:n_points]
+        with pytest.warns(SingularProjectionWarning) as record:
+            fits = lla.one_step_path(d, SCAD2, grid, b0=b0)
+        singular = [w for w in record if issubclass(w.category, SingularProjectionWarning)]
+        assert len(singular) == n_points
+        for lam, fit in zip(grid, fits):
+            assert lla._scad_split(d, b0, PenaltySpec("scad", lam, a=3.7))[0] == [0, 4]
+            assert np.all(np.isfinite(fit.coefficients))
+
 
 class TestSeparableRoute:
     """one_step and one_step_path solve the same lambda-free working problem."""

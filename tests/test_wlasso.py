@@ -218,3 +218,174 @@ class TestValidation:
         prob = WlassoProblem([[1.0]], [1.0], [1.0])
         with pytest.raises(ValueError):
             wlasso.solve(prob, tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity oracle: the coordinate loop on numpy arrays and scalars.  The
+# solver runs the same loop on Python floats; both are binary64 arithmetic in
+# the same order, so every iterate, KKT value and sweep count must be equal.
+
+
+def _np_soft(z, t):
+    if z > t:
+        return z - t
+    if z < -t:
+        return z + t
+    return 0.0
+
+
+def _np_sweep(G, c, w, beta, gjj, idx):
+    maxd = 0.0
+    for j in idx:
+        if gjj[j] <= 0.0:
+            continue
+        z = c[j] + gjj[j] * beta[j]
+        new = _np_soft(z, w[j]) / gjj[j]
+        delta = new - beta[j]
+        if delta != 0.0:
+            c -= G[:, j] * delta
+            beta[j] = new
+            ad = abs(delta)
+            if ad > maxd:
+                maxd = ad
+    return maxd
+
+
+def _np_kkt_from_grad(c, w, beta):
+    worst = 0.0
+    for j in range(beta.shape[0]):
+        if beta[j] == 0.0:
+            viol = abs(c[j]) - w[j]
+            if viol > worst:
+                worst = viol
+        else:
+            viol = abs(c[j] - w[j] * np.sign(beta[j]))
+            if viol > worst:
+                worst = viol
+    return max(worst, 0.0)
+
+
+def _np_solve_gram(G, b, weights, tol=wlasso.DEFAULT_TOL,
+                   max_sweeps=wlasso.DEFAULT_MAX_SWEEPS, x0=None):
+    G = np.asarray(G, dtype=float)
+    b = np.asarray(b, dtype=float)
+    w_full = np.asarray(weights, dtype=float)
+    p = b.shape[0]
+    beta_full = np.zeros(p)
+    finite = np.isfinite(w_full)
+    if not np.any(finite):
+        return beta_full, 0.0, 0
+    keep = np.where(finite)[0]
+    Gk = np.ascontiguousarray(G[np.ix_(keep, keep)])
+    bk = b[keep]
+    w = w_full[keep]
+    gjj = np.diag(Gk).copy()
+    m = keep.shape[0]
+    beta = np.zeros(m)
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        beta = x0[keep].copy()
+        beta[gjj <= 0.0] = 0.0
+    c = bk - Gk @ beta
+
+    def expand():
+        out = beta_full.copy()
+        out[keep] = beta
+        return out
+
+    all_idx = np.arange(m)
+    sweeps = 0
+    kkt = np.inf
+    while sweeps < max_sweeps:
+        maxd = _np_sweep(Gk, c, w, beta, gjj, all_idx)
+        sweeps += 1
+        if maxd <= tol:
+            c = bk - Gk @ beta
+            kkt = _np_kkt_from_grad(c, w, beta)
+            if kkt <= 10.0 * tol:
+                break
+            continue
+        while sweeps < max_sweeps:
+            active = np.where((beta != 0.0) | (w == 0.0))[0]
+            if active.size == 0:
+                break
+            maxd = _np_sweep(Gk, c, w, beta, gjj, active)
+            sweeps += 1
+            if maxd <= tol:
+                break
+    else:
+        raise NonConvergence(
+            f"coordinate descent did not converge in {max_sweeps} sweeps", result=expand()
+        )
+    if not kkt <= 10.0 * tol:
+        raise NonConvergence(
+            f"coordinate descent stalled with KKT residual {kkt:g}", result=expand()
+        )
+    return expand(), float(kkt), sweeps
+
+
+def _oracle_case(seed):
+    """Random Gram problem: weights in {0, finite, +inf}, zero and duplicated
+    columns, slightly asymmetric Gram blocks (as a Schur complement gives),
+    warm starts, and short sweep budgets."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 11))
+    n = int(rng.integers(2, 30))
+    X = rng.standard_normal((n, p))
+    if p > 1 and rng.random() < 0.25:
+        X[:, rng.integers(p)] = 0.0
+    if p > 1 and rng.random() < 0.25:
+        X[:, -1] = X[:, 0]
+    y = rng.standard_normal(n) * 3.0
+    G = X.T @ X
+    if rng.random() < 0.25:
+        G = G + 1e-12 * rng.standard_normal(G.shape)
+    w = rng.uniform(0.0, 3.0, p) * rng.choice([0.1, 1.0, 10.0])
+    r = rng.random(p)
+    w[r < 0.2] = 0.0
+    w[r > 0.8] = np.inf
+    x0 = rng.standard_normal(p) if rng.random() < 0.5 else None
+    max_sweeps = [1, 2, 3, wlasso.DEFAULT_MAX_SWEEPS][int(rng.integers(4))]
+    tol = [wlasso.DEFAULT_TOL, 1e-12, 1e-14][int(rng.integers(3))]
+    return X, y, G, X.T @ y, w, tol, max_sweeps, x0
+
+
+def _outcome(solver, *args):
+    try:
+        return "ok", solver(*args)
+    except NonConvergence as exc:
+        return "nonconvergence", (str(exc), exc.result)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_solve_gram_bit_identical_to_numpy_loop(block):
+    kinds = set()
+    for seed in range(block * 150, (block + 1) * 150):
+        _, _, G, b, w, tol, max_sweeps, x0 = _oracle_case(seed)
+        got_kind, got = _outcome(wlasso.solve_gram, G, b, w, tol, max_sweeps, x0)
+        want_kind, want = _outcome(_np_solve_gram, G, b, w, tol, max_sweeps, x0)
+        assert got_kind == want_kind, seed
+        kinds.add(got_kind)
+        if got_kind == "ok":
+            assert np.array_equal(got[0], want[0]), seed
+            assert got[1] == want[1] and type(got[1]) is float, seed
+            assert got[2] == want[2], seed
+        else:
+            assert got[0] == want[0], seed
+            assert np.array_equal(got[1], want[1]), seed
+    assert kinds == {"ok", "nonconvergence"}
+
+
+def test_certify_kkt_bit_identical_to_numpy_loop():
+    for seed in range(300):
+        X, y, _, _, w, tol, max_sweeps, x0 = _oracle_case(seed)
+        prob = WlassoProblem(X, y, w)
+        rng = np.random.default_rng(seed)
+        random_beta = rng.standard_normal(prob.p)
+        random_beta[rng.random(prob.p) < 0.4] = 0.0
+        kind, out = _outcome(wlasso.solve, prob, tol, max_sweeps, x0)
+        solved_beta = out.beta if kind == "ok" else out[1]
+        for beta in (random_beta, solved_beta):
+            g = prob.wdesign.T @ (prob.wresponse - prob.wdesign @ beta)
+            want = float(_np_kkt_from_grad(g, prob.weights, beta))
+            assert wlasso.certify_kkt(prob, beta) == want, seed

@@ -11,7 +11,6 @@ at convergence.
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import glm, penalty
 from .exceptions import NonConvergence, SingularSystem
@@ -50,6 +49,8 @@ def perturbed_penalty_value(p: PenaltySpec, t: float, tau0: float) -> float:
     if p.family == "log":
         return lam * math.log((t + tau) / tau)
     if p.family == "lq":
+        from scipy.integrate import quad  # deferred: a third of the package import time
+
         val, _ = quad(lambda s: lam * p.q * s ** p.q / (s + tau), 0.0, t)
         return val
     a = p.a

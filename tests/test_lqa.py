@@ -119,3 +119,21 @@ def test_lqa_and_plqa_agree_on_well_separated_instance():
     a = lqa.lqa_fit(d, pen, eps0=1e-12, tol=1e-10)
     b = lqa.perturbed_lqa_fit(d, pen, tau0=1e-12, tol=1e-10)
     assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-4
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import sparsefit
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sparsefit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sparsefit.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -230,3 +230,133 @@ class TestLockstepEnumeration:
         monkeypatch.setattr(glm, "_MLE_MAX_ITER", 1)
         with pytest.raises(NonConvergence):
             subset.enumerate_subset_fits(d)
+
+
+def per_subset_lstsq(d):
+    """Oracle for a Gaussian enumeration: one lstsq per subset on its Gram block.
+
+    Maps each subset to ``(two_ll, model_beta)``, computed as the enumeration
+    did before it stacked its solves.
+    """
+    M, y = d.model_matrix, d.response
+    G, c, yy = M.T @ M, M.T @ y, float(y @ y)
+    offset = 1 if d.intercept else 0
+    out = {}
+    for size in range(d.p + 1):
+        for cols in itertools.combinations(range(d.p), size):
+            idx = np.array(([0] if d.intercept else []) + [j + offset for j in cols], dtype=int)
+            beta = np.zeros(d.n_coef)
+            rss = yy
+            if idx.size:
+                Gs, cs = G[np.ix_(idx, idx)], c[idx]
+                sub = np.linalg.lstsq(Gs, cs, rcond=None)[0]
+                beta[idx] = sub
+                rss = yy - 2.0 * cs @ sub + sub @ Gs @ sub
+            out[cols] = (-d.n * math.log(max(float(rss), 1e-300) / d.n), beta)
+    return out
+
+
+def gram_condition(d):
+    eig = np.linalg.eigvalsh(d.model_matrix.T @ d.model_matrix)
+    return eig[-1] / eig[0]
+
+
+class TestStackedGaussianEnumeration:
+    """Gaussian subsets are stacked Gram-block solves, gated on cond(X'X)."""
+
+    @staticmethod
+    def assert_close_to_oracle(d, fits):
+        oracle = per_subset_lstsq(d)
+        assert [cols for cols, _, _ in fits] == list(oracle)
+        for cols, two_ll, beta in fits:
+            want_ll, want_beta = oracle[cols]
+            assert abs(two_ll - want_ll) <= 1e-9
+            assert np.max(np.abs(beta - want_beta)) <= 1e-10 * max(np.max(np.abs(want_beta)), 1.0)
+
+    @staticmethod
+    def assert_equal_to_oracle(d, fits):
+        oracle = per_subset_lstsq(d)
+        assert [cols for cols, _, _ in fits] == list(oracle)
+        for cols, two_ll, beta in fits:
+            assert two_ll == oracle[cols][0]
+            assert np.array_equal(beta, oracle[cols][1])
+
+    @staticmethod
+    def forbid_lstsq(monkeypatch):
+        def fail(*args):
+            raise AssertionError("a well-conditioned design took the lstsq route")
+
+        monkeypatch.setattr(subset, "_lstsq_fits", fail)
+
+    @staticmethod
+    def near_collinear(seed, intercept, target):
+        """40 x 6 design whose x1 approaches x0 until cond(X'X) is just under ``target``."""
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((40, 6))
+        y = X @ np.linspace(1.0, -1.0, 6) + rng.standard_normal(40)
+        z = rng.standard_normal(40)
+
+        def dataset(delta):
+            Xd = X.copy()
+            Xd[:, 1] = X[:, 0] + delta * z
+            return glm.Dataset(Xd, y, "gaussian", intercept)
+
+        lo, hi = 1e-6, 1.0  # cond falls as delta grows
+        for _ in range(100):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if gram_condition(dataset(mid)) >= target else (lo, mid)
+        return dataset(hi)
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("seed", [43, 47])
+    def test_random_designs_match_lstsq(self, monkeypatch, seed, intercept):
+        base = random_dataset(seed, 50, 7)
+        d = glm.Dataset(base.design, base.response, "gaussian", intercept)
+        self.forbid_lstsq(monkeypatch)
+        self.assert_close_to_oracle(d, subset.enumerate_subset_fits(d))
+
+    def test_one_size_spans_several_chunks(self, monkeypatch):
+        d = random_dataset(53, 40, 6)
+        monkeypatch.setattr(subset, "_STACK_FLOATS", 40)
+        stacks = []
+        real = subset._gram_fits
+
+        def recording(G, c, yy, n, idx):
+            stacks.append(idx.shape)
+            return real(G, c, yy, n, idx)
+
+        monkeypatch.setattr(subset, "_gram_fits", recording)
+        fits = subset.enumerate_subset_fits(d)
+        per_size = {}
+        for m, k in stacks:
+            per_size.setdefault(k, []).append(m)
+        assert max(len(ms) for ms in per_size.values()) > 1
+        assert max(max(ms) for ms in per_size.values()) > 1
+        assert all(m * k * k <= 40 or m == 1 for m, k in stacks)
+        assert sum(m for m, _ in stacks) == 2 ** d.p - 1  # the empty model has no block
+        self.assert_close_to_oracle(d, fits)
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_condition_just_under_the_gate(self, monkeypatch, intercept):
+        d = self.near_collinear(59, intercept, subset._COND_MAX)
+        assert 0.99 * subset._COND_MAX < gram_condition(d) < subset._COND_MAX
+        self.forbid_lstsq(monkeypatch)
+        self.assert_close_to_oracle(d, subset.enumerate_subset_fits(d))
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("kind", ["duplicate", "combination"])
+    def test_singular_design_takes_lstsq_bit_for_bit(self, kind, intercept):
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((40, 6))
+        if kind == "duplicate":
+            X[:, 5] = X[:, 0]
+        else:
+            X[:, 5] = X[:, 0] - 2.0 * X[:, 3]
+        y = X[:, :3] @ np.array([1.5, -1.0, 0.5]) + rng.standard_normal(40)
+        d = glm.Dataset(X, y, "gaussian", intercept)
+        self.assert_equal_to_oracle(d, subset.enumerate_subset_fits(d))
+
+    def test_fewer_rows_than_coefficients(self):
+        base = random_dataset(61, 5, 6)
+        d = glm.Dataset(base.design, base.response, "gaussian", intercept=True)
+        self.assert_equal_to_oracle(d, subset.enumerate_subset_fits(d))

@@ -6,6 +6,13 @@ below a deletion cutoff eps0 are zeroed and removed for good (the backward
 deletion drawback); the perturbed variant bounds the quadratic denominator
 away from zero instead and extracts a support with a single hard-zero cutoff
 at convergence.
+
+The ridge Newton kernel shares one linear predictor per iterate between
+the score, the Hessian and the line-search log-likelihood; the Gaussian
+Hessian, which does not depend on the iterate, is formed once per fit.  The
+objective traces reuse the line search's log-likelihood and sum the penalty
+over Python floats.  The floats are those of separate ``glm`` calls at each
+iterate, so fits and traces are bit-identical to that plain form.
 """
 
 import math
@@ -14,7 +21,7 @@ import numpy as np
 
 from . import glm, penalty
 from .exceptions import NonConvergence, SingularSystem
-from .lla import FitResult, _predictor_indices, _result_from_model_vector, penalized_objective
+from .lla import FitResult, _predictor_indices, _result_from_model_vector
 from .penalty import PenaltySpec
 
 DEFAULT_TOL = 1e-8
@@ -65,47 +72,66 @@ def perturbed_penalty_value(p: PenaltySpec, t: float, tau0: float) -> float:
     return out
 
 
-def _perturbed_objective(d, beta, p, tau0):
-    pen = sum(
-        perturbed_penalty_value(p, abs(beta[j]), tau0) for j in _predictor_indices(d)
-    )
-    return glm.loglik(d, beta) - d.n * pen
+def _newton_argmax_quadratic(d, c2, idx, start, ll, tol, block=None, max_inner=100):
+    """Maximize loglik(beta) - sum_i c2_i beta_{idx_i}^2 over the slots ``idx``.
 
+    Coordinates outside ``idx`` are held at their values in ``start`` (the
+    intercept slot is always in ``idx``); ``ll`` is loglik(start).  Damped
+    Newton; raises SingularSystem when the ridge system cannot be solved.
+    Returns ``(beta, loglik(beta))``.
 
-def _newton_argmax_quadratic(d, coef2, active, start, tol, max_inner=100):
-    """Maximize loglik(beta) - sum_{j in active} coef2_j beta_j^2 on ``active``.
-
-    Coordinates outside ``active`` are held at zero (the intercept slot is
-    always active).  Damped Newton; raises SingularSystem when the ridge
-    system cannot be solved.
+    Each iterate has one linear predictor eta = M @ beta: the start's is
+    computed once, every later one comes from the line search that accepted
+    it, and the score, the Hessian and the next line search all read it.
+    ``block`` is the active block of a negative Hessian that does not depend
+    on beta (the Gaussian X^T X of :func:`glm.neg_hessian`, formed once per
+    fit); without it the block is gathered from X^T D X at each iterate.
+    Products are taken on the full model matrix and then gathered, never on
+    a gathered copy, since a matrix of another shape may be summed in
+    another order; so every float equals what separate ``glm.loglik``,
+    ``score`` and ``neg_hessian`` calls at each iterate would give.
     """
-    beta = start.copy()
-    idx = np.asarray(active, dtype=int)
-    obj = glm.loglik(d, beta) - float(np.sum(coef2[idx] * beta[idx] ** 2))
+    M, y, family = d.model_matrix, d.response, d.family
+    beta = start
+    eta = M @ beta
+    c2x2 = 2.0 * c2
+    ridge = 2.0 * np.diag(c2)
+    H = None if block is None else block + ridge
+    b_act = beta[idx]
+    obj = ll - float((c2 * b_act ** 2).sum())
     for _ in range(max_inner):
-        g = glm.score(d, beta)[idx] - 2.0 * coef2[idx] * beta[idx]
-        H = glm.neg_hessian(d, beta)[np.ix_(idx, idx)] + 2.0 * np.diag(coef2[idx])
+        g = (M.T @ (y - glm.mean_response(d, eta)))[idx] - c2x2 * b_act
+        if block is None:
+            H = (M.T @ (glm._curvature(family, eta)[:, None] * M))[np.ix_(idx, idx)] + ridge
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
             raise SingularSystem("ridge Newton system is singular")
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             raise SingularSystem("ridge Newton step is not finite")
         t = 1.0
         for _ in range(40):
             cand = beta.copy()
-            cand[idx] = beta[idx] + t * step
-            new = glm.loglik(d, cand) - float(np.sum(coef2[idx] * cand[idx] ** 2))
-            if np.isfinite(new) and new >= obj - 1e-12:
+            cand_act = b_act + t * step
+            cand[idx] = cand_act
+            eta_new = M @ cand
+            ll_new = float(glm._eta_loglik(family, y, eta_new))
+            new = ll_new - float((c2 * cand_act ** 2).sum())
+            if math.isfinite(new) and new >= obj - 1e-12:
                 break
             t *= 0.5
         else:
-            return beta
-        moved = float(np.max(np.abs(t * step))) if step.size else 0.0
-        beta, obj = cand, new
+            return beta, ll
+        moved = float(abs(t * step).max()) if step.size else 0.0
+        beta, b_act, eta, ll, obj = cand, cand_act, eta_new, ll_new, new
         if moved <= tol:
-            return beta
+            return beta, ll
     raise NonConvergence("inner ridge maximization did not converge")
+
+
+def _gaussian_hessian(d, beta):
+    """X^T X once per fit for Gaussian data (its curvature is all ones), else None."""
+    return glm.neg_hessian(d, beta) if d.family == "gaussian" else None
 
 
 def lqa_fit(d: glm.Dataset, p: PenaltySpec, b0=None, eps0: float | None = None,
@@ -125,27 +151,37 @@ def lqa_fit(d: glm.Dataset, p: PenaltySpec, b0=None, eps0: float | None = None,
         eps0 = EPS0_SCALE * top if top > 0 else EPS0_SCALE
     if not eps0 > 0:
         raise ValueError("eps0 must be positive")
-    alive = set(pred)
-    trace = [penalized_objective(d, beta, p)]
+    hess = _gaussian_hessian(d, beta)
+    n, first = d.n, int(d.intercept)
+    lead = [0.0] * first  # the unpenalized intercept's ridge coefficient
+
+    def objective(ll, vals):
+        return ll - n * sum(penalty.value(p, abs(b)) for b in vals[first:])
+
+    alive = pred
+    ll = glm.loglik(d, beta)
+    vals = beta.tolist()
+    trace = [objective(ll, vals)]
+    idx = block = None
     for it in range(1, max_iter + 1):
-        deleted = False
-        for j in sorted(alive):
-            if abs(beta[j]) < eps0:
-                beta[j] = 0.0
-                alive.discard(j)
-                deleted = True
-        coef2 = np.zeros(d.n_coef)
-        for j in alive:
-            coef2[j] = d.n * penalty.lqa_coefficient(p, abs(beta[j]), 0.0)
-        active = ([0] if d.intercept else []) + sorted(alive)
-        if active:
-            new = _newton_argmax_quadratic(d, coef2, active, beta, tol / 10.0)
+        dead = [j for j in alive if abs(vals[j]) < eps0]
+        if dead:
+            beta[dead] = 0.0
+            ll = glm.loglik(d, beta)
+            alive = [j for j in alive if j not in dead]
+        if dead or idx is None:
+            idx = np.asarray([0] * first + alive, dtype=int)
+            block = None if hess is None else hess[np.ix_(idx, idx)]
+        c2 = np.array(lead + [n * penalty.lqa_coefficient(p, abs(vals[j]), 0.0) for j in alive])
+        if idx.size:
+            new, ll = _newton_argmax_quadratic(d, c2, idx, beta, ll, tol / 10.0, block)
         else:
             new = beta.copy()
-        delta = float(np.max(np.abs(new - beta)))
+        delta = float(abs(new - beta).max())
         beta = new
-        trace.append(penalized_objective(d, beta, p))
-        if delta <= tol and not deleted:
+        vals = beta.tolist()
+        trace.append(objective(ll, vals))
+        if delta <= tol and not dead:
             return _result_from_model_vector(d, beta, p.lam, "lqa", trace, it)
     partial = _result_from_model_vector(d, beta, p.lam, "lqa", trace, max_iter, converged=False)
     raise NonConvergence(f"LQA did not converge in {max_iter} iterations", result=partial)
@@ -170,16 +206,24 @@ def perturbed_lqa_fit(d: glm.Dataset, p: PenaltySpec, b0=None, tau0: float | Non
         tau0 = TAU0_SCALE * top if top > 0 else TAU0_SCALE
     if not tau0 > 0:
         raise ValueError("tau0 must be positive")
-    active = ([0] if d.intercept else []) + pred
-    trace = [_perturbed_objective(d, beta, p, tau0)]
+    idx = np.arange(d.n_coef)
+    hess = _gaussian_hessian(d, beta)
+    n, first = d.n, int(d.intercept)
+    lead = [0.0] * first  # the unpenalized intercept's ridge coefficient
+
+    def objective(ll, vals):
+        return ll - n * sum(perturbed_penalty_value(p, abs(b), tau0) for b in vals[first:])
+
+    ll = glm.loglik(d, beta)
+    vals = beta.tolist()
+    trace = [objective(ll, vals)]
     for it in range(1, max_iter + 1):
-        coef2 = np.zeros(d.n_coef)
-        for j in pred:
-            coef2[j] = d.n * penalty.lqa_coefficient(p, abs(beta[j]), tau0)
-        new = _newton_argmax_quadratic(d, coef2, active, beta, tol / 10.0)
-        delta = float(np.max(np.abs(new - beta)))
+        c2 = np.array(lead + [n * penalty.lqa_coefficient(p, abs(b), tau0) for b in vals[first:]])
+        new, ll = _newton_argmax_quadratic(d, c2, idx, beta, ll, tol / 10.0, hess)
+        delta = float(abs(new - beta).max())
         beta = new
-        trace.append(_perturbed_objective(d, beta, p, tau0))
+        vals = beta.tolist()
+        trace.append(objective(ll, vals))
         if delta <= tol:
             top = float(np.max(np.abs(beta[pred]))) if pred else 0.0
             cutoff = SUPPORT_CUTOFF_SCALE * top

@@ -15,6 +15,7 @@ matter how replications are scheduled.
 """
 
 import concurrent.futures
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -239,12 +240,22 @@ def _fit_penalized(spec, m, data, b_full, cv_seed):
     """Tune lambda for a penalized method and refit on the full data.
 
     ``spec.tuning`` picks the selector: k-fold CV (seeded by ``cv_seed``) or
-    BIC on a single full-data path.
+    BIC on a single full-data path.  When the full-data refit at the chosen
+    lambda fails, the other grid points with a finite score are tried in the
+    selector's order (lowest score first, ties to the larger lambda); the
+    first error is raised only when every refit fails.
     """
-    lam_star, _ = methods.select_lambda(m.kind, data, m.penalty(1.0), b_full, spec.n_lambda,
-                                        spec.lambda_min_ratio, spec.tuning, spec.cv_folds,
-                                        cv_seed)
-    return methods.fit(m.kind, data, m.penalty(lam_star), b0=b_full).coefficients
+    lam_star, curve = methods.select_lambda(m.kind, data, m.penalty(1.0), b_full, spec.n_lambda,
+                                            spec.lambda_min_ratio, spec.tuning, spec.cv_folds,
+                                            cv_seed)
+    ranked = sorted((pt for pt in curve if pt[1] < math.inf), key=lambda pt: (pt[1], -pt[0]))
+    errors = []
+    for lam in dict.fromkeys([lam_star] + [lam for lam, _ in ranked]):
+        try:
+            return methods.fit(m.kind, data, m.penalty(lam), b0=b_full).coefficients
+        except tuning.SOLVER_ERRORS as exc:
+            errors.append(exc)
+    raise errors[0]
 
 
 def _run_replication(spec: ScenarioSpec, rep_index: int):

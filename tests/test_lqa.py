@@ -3,6 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from sparsefit import glm, lqa, penalty
+from sparsefit.exceptions import NonConvergence, SingularSystem, SparsefitError
+from sparsefit.lla import _predictor_indices, _result_from_model_vector, penalized_objective
 from sparsefit.penalty import PenaltySpec
 
 from conftest import orthonormal_gaussian, random_dataset
@@ -137,3 +139,172 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity oracle: the ridge Newton iteration with separate glm.loglik,
+# glm.score and glm.neg_hessian calls at each iterate and a separately
+# computed objective trace.  The fits share one linear predictor per iterate,
+# form the Gaussian Hessian once and take the trace from the line search;
+# the floats are the same, so every coefficient, trace entry, iteration
+# count, support and exception must be equal.
+
+
+def _oracle_newton(d, coef2, active, start, tol, max_inner=100):
+    beta = start.copy()
+    idx = np.asarray(active, dtype=int)
+    obj = glm.loglik(d, beta) - float(np.sum(coef2[idx] * beta[idx] ** 2))
+    for _ in range(max_inner):
+        g = glm.score(d, beta)[idx] - 2.0 * coef2[idx] * beta[idx]
+        H = glm.neg_hessian(d, beta)[np.ix_(idx, idx)] + 2.0 * np.diag(coef2[idx])
+        try:
+            step = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:
+            raise SingularSystem("ridge Newton system is singular")
+        if not np.all(np.isfinite(step)):
+            raise SingularSystem("ridge Newton step is not finite")
+        t = 1.0
+        for _ in range(40):
+            cand = beta.copy()
+            cand[idx] = beta[idx] + t * step
+            new = glm.loglik(d, cand) - float(np.sum(coef2[idx] * cand[idx] ** 2))
+            if np.isfinite(new) and new >= obj - 1e-12:
+                break
+            t *= 0.5
+        else:
+            return beta
+        moved = float(np.max(np.abs(t * step))) if step.size else 0.0
+        beta, obj = cand, new
+        if moved <= tol:
+            return beta
+    raise NonConvergence("inner ridge maximization did not converge")
+
+
+def _oracle_perturbed_objective(d, beta, p, tau0):
+    pen = sum(
+        lqa.perturbed_penalty_value(p, abs(beta[j]), tau0) for j in _predictor_indices(d)
+    )
+    return glm.loglik(d, beta) - d.n * pen
+
+
+def _oracle_lqa_fit(d, p, b0, tol=lqa.DEFAULT_TOL, max_iter=lqa.DEFAULT_MAX_ITER):
+    beta = np.asarray(b0, dtype=float).copy()
+    pred = list(_predictor_indices(d))
+    top = float(np.max(np.abs(beta[pred])))
+    eps0 = lqa.EPS0_SCALE * top if top > 0 else lqa.EPS0_SCALE
+    alive = set(pred)
+    trace = [penalized_objective(d, beta, p)]
+    for it in range(1, max_iter + 1):
+        deleted = False
+        for j in sorted(alive):
+            if abs(beta[j]) < eps0:
+                beta[j] = 0.0
+                alive.discard(j)
+                deleted = True
+        coef2 = np.zeros(d.n_coef)
+        for j in alive:
+            coef2[j] = d.n * penalty.lqa_coefficient(p, abs(beta[j]), 0.0)
+        active = ([0] if d.intercept else []) + sorted(alive)
+        if active:
+            new = _oracle_newton(d, coef2, active, beta, tol / 10.0)
+        else:
+            new = beta.copy()
+        delta = float(np.max(np.abs(new - beta)))
+        beta = new
+        trace.append(penalized_objective(d, beta, p))
+        if delta <= tol and not deleted:
+            return _result_from_model_vector(d, beta, p.lam, "lqa", trace, it)
+    partial = _result_from_model_vector(d, beta, p.lam, "lqa", trace, max_iter, converged=False)
+    raise NonConvergence(f"LQA did not converge in {max_iter} iterations", result=partial)
+
+
+def _oracle_perturbed_lqa_fit(d, p, b0, tol=lqa.DEFAULT_TOL, max_iter=lqa.DEFAULT_MAX_ITER):
+    beta = np.asarray(b0, dtype=float).copy()
+    pred = list(_predictor_indices(d))
+    top = float(np.max(np.abs(beta[pred])))
+    tau0 = lqa.TAU0_SCALE * top if top > 0 else lqa.TAU0_SCALE
+    active = ([0] if d.intercept else []) + pred
+    trace = [_oracle_perturbed_objective(d, beta, p, tau0)]
+    for it in range(1, max_iter + 1):
+        coef2 = np.zeros(d.n_coef)
+        for j in pred:
+            coef2[j] = d.n * penalty.lqa_coefficient(p, abs(beta[j]), tau0)
+        new = _oracle_newton(d, coef2, active, beta, tol / 10.0)
+        delta = float(np.max(np.abs(new - beta)))
+        beta = new
+        trace.append(_oracle_perturbed_objective(d, beta, p, tau0))
+        if delta <= tol:
+            top = float(np.max(np.abs(beta[pred])))
+            cutoff = lqa.SUPPORT_CUTOFF_SCALE * top
+            for j in pred:
+                if abs(beta[j]) <= cutoff:
+                    beta[j] = 0.0
+            return _result_from_model_vector(d, beta, p.lam, "perturbed_lqa", trace, it)
+    partial = _result_from_model_vector(
+        d, beta, p.lam, "perturbed_lqa", trace, max_iter, converged=False
+    )
+    raise NonConvergence(
+        f"perturbed LQA did not converge in {max_iter} iterations", result=partial
+    )
+
+
+def _fields(fit):
+    return (fit.coefficients.tobytes(), fit.intercept, fit.support,
+            np.asarray(fit.objective_trace, dtype=float).tobytes(), fit.iterations,
+            fit.converged, fit.method)
+
+
+def _fit_outcome(fitter, d, p, b0):
+    try:
+        return _fields(fitter(d, p, b0))
+    except SparsefitError as exc:
+        partial = getattr(exc, "result", None)
+        return type(exc), str(exc), None if partial is None else _fields(partial)
+
+
+FAMILIES = ("gaussian", "logistic", "poisson")
+# (family, lambda per unit of max |b0|): the log penalty, whose p'(t) = lambda / t is
+# unbounded near zero, at a tenth of the others
+ORACLE_PENALTIES = (("scad", 1.0), ("l1", 1.0), ("log", 0.1), ("lq", 1.0))
+
+
+def _oracle_dataset(family, design):
+    d = random_dataset(40 + FAMILIES.index(family), 40, 5, family)
+    X = d.design.copy()
+    if design == "duplicated":
+        X[:, 3] = X[:, 0]
+    return glm.Dataset(X, d.response, family, intercept=design != "plain")
+
+
+def _oracle_outcomes(d):
+    """(new, oracle) outcomes of LQA and P-LQA for every penalty at three levels."""
+    b0 = glm.fit_mle(d)
+    top = float(np.max(np.abs(b0)))
+    pairs = []
+    for family, scale in ORACLE_PENALTIES:
+        for level in (0.02, 0.1, 0.4):
+            p = PenaltySpec(family, level * scale * top, q=0.5)
+            pairs.append((_fit_outcome(lqa.lqa_fit, d, p, b0),
+                          _fit_outcome(_oracle_lqa_fit, d, p, b0)))
+            pairs.append((_fit_outcome(lqa.perturbed_lqa_fit, d, p, b0),
+                          _fit_outcome(_oracle_perturbed_lqa_fit, d, p, b0)))
+    return pairs
+
+
+@pytest.mark.filterwarnings("ignore::sparsefit.exceptions.RidgeFallbackWarning")
+@pytest.mark.parametrize("design", ["plain", "intercept", "duplicated"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fits_bit_identical_to_per_iterate_glm_calls(family, design):
+    pairs = _oracle_outcomes(_oracle_dataset(family, design))
+    assert len(pairs) == 24
+    for i, (got, want) in enumerate(pairs):
+        assert got == want, i
+
+
+def test_oracle_catches_a_gram_summed_in_another_order(monkeypatch):
+    # X^T X summed by einsum instead of the BLAS product of glm.neg_hessian
+    # agrees to rounding only; the oracle must tell the two apart
+    monkeypatch.setattr(lqa, "_gaussian_hessian", lambda d, beta: np.einsum(
+        "ij,ik->jk", d.model_matrix, d.model_matrix))
+    pairs = _oracle_outcomes(_oracle_dataset("gaussian", "intercept"))
+    assert any(got != want for got, want in pairs)

@@ -2,9 +2,11 @@
 
 The benchmark checks every unit whose seed is a recorded key, but only when it
 runs.  These tests run the recorded ``sim_linear`` units and the first five
-``sim_glm`` units through the benchmark's own workload code, so a change that
-moves a selection (C, IC or fit class) or an MRME beyond its 1e-9 relative
-tolerance fails here first.  They read the benchmark's files and write none.
+``sim_glm`` and ``sim_lqa`` units through the benchmark's own workload code,
+so a change that moves a selection (C, IC or fit class) or an MRME beyond its
+1e-9 relative tolerance fails here first.  Three unrecorded ``sim_lqa`` units
+whose LQA refit at the chosen lambda does not converge get the structural
+check.  They read the benchmark's files and write none.
 """
 
 import importlib.util
@@ -26,7 +28,8 @@ def _load_workloads():
 workloads = _load_workloads()
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 
-UNITS = [("sim_linear", k) for k in range(40)] + [("sim_glm", k) for k in range(5)]
+UNITS = ([("sim_linear", k) for k in range(40)] + [("sim_glm", k) for k in range(5)]
+         + [("sim_lqa", k) for k in range(5)])
 
 
 @pytest.mark.parametrize("name,k", UNITS)
@@ -35,3 +38,11 @@ def test_unit_matches_reference(name, k):
     key, _, outputs, _ = workload.run_unit(0, k)
     assert key in REFERENCE[name]
     assert workload.check(key, outputs, REFERENCE[name]) == []
+
+
+@pytest.mark.parametrize("k", [20, 85, 115])
+def test_lqa_unit_with_failing_chosen_refit_is_correct(k):
+    workload = workloads.make("sim_lqa", None)
+    key, _, outputs, _ = workload.run_unit(0, k)
+    assert key not in REFERENCE["sim_lqa"]
+    assert workload.check(key, outputs, REFERENCE["sim_lqa"]) == []

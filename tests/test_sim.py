@@ -5,6 +5,7 @@ import pytest
 
 from sparsefit import sim
 from sparsefit.exceptions import NonConvergence
+from sparsefit.lla import FitResult
 from sparsefit.sim import MethodSpec, ScenarioSpec, parse_method
 
 
@@ -305,3 +306,45 @@ class TestRunScenario:
         monkeypatch.setattr(sim, "_run_replication", buggy)
         with pytest.raises(RuntimeError, match="boom"):
             sim.run_scenario(spec)
+
+
+class TestRefitFallback:
+    # lambda* = 2.0: the lowest score, its tie going to the larger lambda
+    CURVE = [(4.0, 1.0), (2.0, 0.5), (1.0, 0.5), (0.5, math.inf), (0.25, 0.7)]
+
+    def _stub(self, monkeypatch, failing):
+        calls = []
+
+        def select_lambda(*args, **kwargs):
+            return 2.0, list(self.CURVE)
+
+        def fit(method, d, pen, b0=None, **kwargs):
+            calls.append(pen.lam)
+            if pen.lam in failing:
+                raise NonConvergence(f"no fit at {pen.lam}")
+            return FitResult(np.full(d.p, pen.lam), (), pen.lam, method, (), 1)
+
+        monkeypatch.setattr(sim.methods, "select_lambda", select_lambda)
+        monkeypatch.setattr(sim.methods, "fit", fit)
+        return calls
+
+    def test_next_best_lambda_refit_when_the_chosen_one_fails(self, monkeypatch):
+        calls = self._stub(monkeypatch, failing={2.0, 1.0})
+        spec = tiny_spec(methods=("lqa:scad",))
+        data = sim.generate(spec, 0)
+        beta = sim._fit_penalized(spec, spec.methods[0], data, None, cv_seed=0)
+        assert calls == [2.0, 1.0, 0.25]
+        assert np.all(beta == 0.25)
+
+    def test_replication_fails_when_every_refit_fails(self, monkeypatch):
+        calls = self._stub(monkeypatch, failing={4.0, 2.0, 1.0, 0.5, 0.25})
+        rep = sim.run_scenario(tiny_spec(methods=("lqa:scad",), reps=2))
+        assert rep.failures == 2
+        assert rep.failure_messages[0] == "failed: NonConvergence: no fit at 2.0"
+        assert calls == [2.0, 1.0, 0.25, 4.0] * 2  # never the +inf point
+
+    def test_lqa_replication_whose_chosen_refit_does_not_converge(self):
+        # at lambda* the full-data LQA refit of this replication does not converge
+        spec = ScenarioSpec("linear", 50, 1, ("lqa:scad", "plqa:scad"), seed=20, n_lambda=10)
+        rep = sim.run_scenario(spec)
+        assert rep.failures == 0 and rep.valid

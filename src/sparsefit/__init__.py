@@ -24,7 +24,7 @@ from .sim import ScenarioSpec, SimulationReport, run_scenario
 from .subset import best_subset
 from .threshold import emit_curve, exact_rule, one_step_rule
 from .tuning import cv_select, default_lambda_grid
-from .wlasso import WlassoProblem, WlassoSolution, certify_kkt, solve, solve_path
+from .wlasso import WlassoProblem, WlassoSolution, certify_kkt, solve
 
 __version__ = "0.1.0"
 
@@ -65,6 +65,5 @@ __all__ = [
     "perturbed_lqa_fit",
     "run_scenario",
     "solve",
-    "solve_path",
     "value",
 ]

@@ -1,20 +1,21 @@
 """Command-line surface: fit, path, cv, threshold curves, and simulations.
 
-CSV in, JSON/CSV out.  Exit codes: 0 success, 2 bad flags, 3 data errors,
-4 solver non-convergence (a partial result is still written with
-``"converged": false``).
+CSV in, JSON/CSV out.  Exit codes: 0 success, 2 bad flags, 3 data and other
+solver errors, 4 solver non-convergence (``fit`` still writes a partial fit,
+when there is one, with ``"converged": false``).
 """
 
 import configparser
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import click
 import numpy as np
 
 from . import glm, jsonio, lla, methods, sim, subset, threshold, tuning
-from .exceptions import DataError, NonConvergence, SparsefitError, TooManyPredictors
+from .exceptions import DataError, NonConvergence, SparsefitError
+from .lla import FitResult
 from .penalty import format_penalty, parse_penalty
 
 _METHODS = tuple(m.replace("_", "-") for m in methods.METHODS) + ("subset",)
@@ -26,6 +27,17 @@ EXIT_NONCONVERGENCE = 4
 def _fail_data(msg):
     click.echo(f"error: {msg}", err=True)
     sys.exit(EXIT_DATA)
+
+
+def _fail_solver(exc, write_partial=None):
+    """Exit 4 on NonConvergence, after ``write_partial`` of its partial fit
+    when it carries one, and 3 on any other package error."""
+    if not isinstance(exc, NonConvergence):
+        _fail_data(exc)
+    if write_partial is not None and isinstance(exc.result, FitResult):
+        write_partial(exc.result)
+    click.echo(f"error: {exc}", err=True)
+    sys.exit(EXIT_NONCONVERGENCE)
 
 
 def _write(text, out):
@@ -109,8 +121,8 @@ def fit(data, response, family, method, penalty_str, lam, cv, criterion, k,
     if method == "subset":
         try:
             res = subset.best_subset(dataset, criterion)
-        except TooManyPredictors as exc:
-            _fail_data(exc)
+        except SparsefitError as exc:
+            _fail_solver(exc)
         _write(_fit_json(res, family, names), out)
         return
     pen = _parse_penalty_flag(penalty_str)
@@ -127,13 +139,8 @@ def fit(data, response, family, method, penalty_str, lam, cv, criterion, k,
         if lam is not None:
             pen = replace(pen, lam=float(lam))
         res = methods.fit(name, dataset, pen, b0=b0, **opts)
-    except NonConvergence as exc:
-        if exc.result is not None:
-            _write(_fit_json(exc.result, family, names, pen), out)
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_NONCONVERGENCE)
     except SparsefitError as exc:
-        _fail_data(exc)
+        _fail_solver(exc, lambda partial: _write(_fit_json(partial, family, names, pen), out))
     _write(_fit_json(res, family, names, pen), out)
 
 
@@ -157,7 +164,7 @@ def path(data, response, family, penalty_str, n_lambda, min_ratio, intercept, ou
         grid = tuning.default_lambda_grid(lam_max, n_lambda, min_ratio)
         fits = lla.one_step_path(dataset, pen, grid, b0=b0)
     except SparsefitError as exc:
-        _fail_data(exc)
+        _fail_solver(exc)
     cols = ["lambda"] + (["intercept"] if intercept else []) + names
     lines = [",".join(cols)]
     for lam, fitres in zip(grid, fits):
@@ -190,7 +197,7 @@ def cv(data, response, family, method, penalty_str, folds, n_lambda, min_ratio,
         lam_star, curve = methods.select_lambda(method.replace("-", "_"), dataset, pen, None,
                                                 n_lambda, min_ratio, "cv", folds, seed)
     except SparsefitError as exc:
-        _fail_data(exc)
+        _fail_solver(exc)
     lines = [f"# lambda_star = {_g17(lam_star)}", "lambda,loss"]
     lines += [f"{_g17(lam)},{_g17(loss)}" for lam, loss in curve]
     _write("\n".join(lines) + "\n", out)
@@ -219,31 +226,28 @@ def threshold_cmd(penalty_str, mode, zmin, zmax, step, out):
     _write("\n".join(lines) + "\n", out)
 
 
-def _scenario_from_section(section, reps, seed):
-    def get(key, cast, default=None):
-        if key not in section:
-            return default
-        return cast(section[key])
+#: defaults of the ScenarioSpec fields that have none of their own
+_SECTION_DEFAULTS = {"example": "linear", "n": 50, "replications": 100}
 
-    methods = tuple(s.strip() for s in section.get("methods", "").split(",") if s.strip())
-    if not methods:
+
+def _scenario_from_section(section, reps, seed):
+    """ScenarioSpec of a config section: one key per field, cast to the
+    field's type (tuples are comma-separated); unknown keys are errors."""
+    types = {f.name: f.type for f in fields(sim.ScenarioSpec)}
+    kwargs = dict(_SECTION_DEFAULTS)
+    for key, text in section.items():
+        if key not in types:
+            raise DataError(f"unknown config key {key!r}")
+        if types[key] is tuple:
+            kwargs[key] = tuple(s.strip() for s in text.split(",") if s.strip())
+        else:
+            kwargs[key] = types[key](text.strip())
+    if not kwargs.get("methods"):
         raise DataError("config section needs a methods = ... line")
-    kwargs = dict(
-        example=section.get("example", "linear").strip(),
-        n=get("n", int, 50),
-        replications=reps if reps is not None else get("replications", int, 100),
-        methods=methods,
-        p=get("p", int, 12),
-        rho=get("rho", float, 0.5),
-        seed=seed if seed is not None else get("seed", int, 0),
-        test_points=get("test_points", int, 10_000),
-        cv_folds=get("cv_folds", int, tuning.DEFAULT_FOLDS),
-        n_lambda=get("n_lambda", int, tuning.DEFAULT_N_LAMBDA),
-        lambda_min_ratio=get("lambda_min_ratio", float, tuning.DEFAULT_MIN_RATIO),
-        tuning=get("tuning", str.strip, "cv"),
-    )
-    if "beta_true" in section:
-        kwargs["beta_true"] = tuple(float(v) for v in section["beta_true"].split(","))
+    if reps is not None:
+        kwargs["replications"] = reps
+    if seed is not None:
+        kwargs["seed"] = seed
     return sim.ScenarioSpec(**kwargs)
 
 

@@ -7,7 +7,9 @@ single step, built once per penalty route as a plain lasso: a separable
 penalty (l1/lq/log) divides each column by its lambda-free derivative
 p'(|b0_j|) and applies the single level n * lambda; SCAD splits the
 coordinates into an unpenalized block U (derivative zero) and a penalized
-block V, projects U out, solves the lasso on V, and back-solves U.
+block V, projects U out, solves the lasso on V, and back-solves U.  Every
+later step, of k-step and of full LLA alike, is one weighted lasso of the
+likelihood's IRLS expansion at the current iterate (:func:`_lla_step`).
 """
 
 import warnings
@@ -153,37 +155,21 @@ def _result_from_model_vector(d, beta_model, lam, method, trace, iterations, con
     return FitResult(coef, support, float(lam), method, tuple(trace), iterations, intercept, converged)
 
 
-def _one_step_model_vector(d, p, b0, tol):
-    """One LLA step from b0 through the penalty's working problem."""
-    if p.family == "scad":
-        return _scad_one_step(d, b0, p, tol)
-    prob, scales = _separable_problem(d, b0, p)
-    prob = replace(prob, weights=_level_weights(prob.weights, p.lam))
-    return wlasso.solve(prob, tol=tol).beta * scales
-
-
-def one_step(d: glm.Dataset, p: PenaltySpec, b0=None, tol: float = DEFAULT_TOL) -> FitResult:
-    """One-step LLA estimator started from ``b0`` (default: the MLE).
-
-    Builds the working problem for the penalty's route, solves the weighted-L1
-    problem at penalty level ``n * lam``, and maps the solution back; zeros
-    are exact.
-    """
-    if b0 is None:
-        b0 = glm.fit_mle(d)
-    b0 = np.asarray(b0, dtype=float)
-    beta = _one_step_model_vector(d, p, b0, tol)
-    trace = (penalized_objective(d, b0, p), penalized_objective(d, beta, p))
-    return _result_from_model_vector(d, beta, p.lam, "one_step", trace, 1)
-
-
-def _working_response(d, beta, mu, mean):
-    """IRLS working pieces sqrt(D) X and sqrt(D) mu + (y - m) / sqrt(D)."""
+def _working_response(d, beta):
+    """IRLS working pieces sqrt(D) X and sqrt(D) mu + (y - m) / sqrt(D) at beta."""
     if d.family == "gaussian":
         return d.model_matrix, d.response
+    mu = d.model_matrix @ beta
     w = np.maximum(glm.curvature_weights(d, beta), _CURV_FLOOR)
     sw = np.sqrt(w)
-    return sw[:, None] * d.model_matrix, sw * mu + (d.response - mean) / sw
+    return sw[:, None] * d.model_matrix, sw * mu + (d.response - glm.mean_response(d, mu)) / sw
+
+
+def _lla_step(d, w, beta, tol):
+    """The weighted lasso of the likelihood's IRLS expansion at ``beta`` (exact
+    for Gaussian data), with L1 weights ``w``, warm-started at ``beta``."""
+    Xw, yw = _working_response(d, beta)
+    return wlasso.solve(wlasso.WlassoProblem(Xw, yw, w), tol=tol, x0=beta).beta
 
 
 def _lla_weights(d, p, beta):
@@ -213,15 +199,11 @@ def _argmax_penalized_loglik(d, w, start, tol, max_inner=100):
     backtracking ascent check until the step is full and small.
     """
     if d.family == "gaussian":
-        prob = wlasso.WlassoProblem(d.model_matrix, d.response, w)
-        return wlasso.solve(prob, tol=tol, x0=start).beta
+        return _lla_step(d, w, start, tol)
     beta = np.where(np.isinf(w), 0.0, np.asarray(start, dtype=float))
     fb = _pen_loglik(d, beta, w)
     for _ in range(max_inner):
-        mu = d.model_matrix @ beta
-        mean = glm.mean_response(d, mu)
-        Xw, yw = _working_response(d, beta, mu, mean)
-        cand = wlasso.solve(wlasso.WlassoProblem(Xw, yw, w), tol=tol, x0=beta).beta
+        cand = _lla_step(d, w, beta, tol)
         step = cand - beta
         delta = float(np.max(np.abs(step))) if step.size else 0.0
         fn = _pen_loglik(d, cand, w)
@@ -247,26 +229,37 @@ def k_step(d: glm.Dataset, p: PenaltySpec, b0=None, k: int = 1,
            tol: float = DEFAULT_TOL) -> FitResult:
     """k iterations of the one-step construction.
 
-    The first step is exactly :func:`one_step`; later steps re-expand the
-    likelihood quadratic (gradient included) at the new iterate and resolve
-    the tangent-weighted lasso.
+    The first step is the one-step estimator's working problem; later steps
+    re-expand the likelihood quadratic (gradient included) at the new
+    iterate and resolve the tangent-weighted lasso.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if b0 is None:
         b0 = glm.fit_mle(d)
     b0 = np.asarray(b0, dtype=float)
-    beta = _one_step_model_vector(d, p, b0, tol)
+    if p.family == "scad":
+        beta = _scad_one_step(d, b0, p, tol)
+    else:
+        prob, scales = _separable_problem(d, b0, p)
+        prob = replace(prob, weights=_level_weights(prob.weights, p.lam))
+        beta = wlasso.solve(prob, tol=tol).beta * scales
     trace = [penalized_objective(d, b0, p), penalized_objective(d, beta, p)]
     for _ in range(k - 1):
-        w = _lla_weights(d, p, beta)
-        mu = d.model_matrix @ beta
-        mean = glm.mean_response(d, mu)
-        Xw, yw = _working_response(d, beta, mu, mean)
-        beta = wlasso.solve(wlasso.WlassoProblem(Xw, yw, w), tol=tol, x0=beta).beta
+        beta = _lla_step(d, _lla_weights(d, p, beta), beta, tol)
         trace.append(penalized_objective(d, beta, p))
     method = "one_step" if k == 1 else f"k_step({k})"
     return _result_from_model_vector(d, beta, p.lam, method, trace, k)
+
+
+def one_step(d: glm.Dataset, p: PenaltySpec, b0=None, tol: float = DEFAULT_TOL) -> FitResult:
+    """One-step LLA estimator started from ``b0`` (default: the MLE).
+
+    Builds the working problem for the penalty's route, solves the weighted-L1
+    problem at penalty level ``n * lam``, and maps the solution back; zeros
+    are exact.  This is :func:`k_step` with ``k = 1``.
+    """
+    return k_step(d, p, b0, k=1, tol=tol)
 
 
 def full_lla(d: glm.Dataset, p: PenaltySpec, b0=None, tol: float = DEFAULT_TOL,

@@ -5,7 +5,9 @@ current iterate, giving ridge-type Newton systems.  Coordinates that fall
 below a deletion cutoff eps0 are zeroed and removed for good (the backward
 deletion drawback); the perturbed variant bounds the quadratic denominator
 away from zero instead and extracts a support with a single hard-zero cutoff
-at convergence.
+at convergence.  One driver runs both: plain LQA has tau0 = 0 and the
+deletion cutoff eps0, the perturbed form tau0 > 0 and a cutoff of 0, which
+never deletes.
 
 The ridge Newton kernel shares one linear predictor per iterate between
 the score, the Hessian and the line-search log-likelihood; the Gaussian
@@ -134,31 +136,31 @@ def _gaussian_hessian(d, beta):
     return glm.neg_hessian(d, beta) if d.family == "gaussian" else None
 
 
-def lqa_fit(d: glm.Dataset, p: PenaltySpec, b0=None, eps0: float | None = None,
-            tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> FitResult:
-    """LQA estimator with the deletion rule.
-
-    Any coordinate whose current magnitude drops below ``eps0`` is set to an
-    exact zero and permanently removed from the iteration.  ``eps0``
-    defaults to 1e-8 times the largest initial coefficient magnitude.
-    """
+def _start(d, b0):
+    """Starting model vector (default: the MLE) and its largest predictor magnitude."""
     if b0 is None:
         b0 = glm.fit_mle(d)
     beta = np.asarray(b0, dtype=float).copy()
-    pred = list(_predictor_indices(d))
-    if eps0 is None:
-        top = float(np.max(np.abs(beta[pred]))) if pred else 0.0
-        eps0 = EPS0_SCALE * top if top > 0 else EPS0_SCALE
-    if not eps0 > 0:
-        raise ValueError("eps0 must be positive")
+    return beta, float(np.max(np.abs(beta[list(_predictor_indices(d))])))
+
+
+def _ridge_lqa(d, p, beta, tau0, eps0, pen_value, method, tol, max_iter):
+    """The LQA iteration from ``beta``, ridge coefficients perturbed by ``tau0``.
+
+    A coordinate whose magnitude drops below ``eps0`` is zeroed and removed
+    for good (``eps0 = 0`` never deletes, and the active block is then the
+    whole model vector).  The trace is loglik - n * sum_j pen_value(|b_j|).
+    Returns ``(beta, trace, iterations)`` at convergence; otherwise raises
+    NonConvergence carrying the partial fit, labelled ``method``.
+    """
     hess = _gaussian_hessian(d, beta)
     n, first = d.n, int(d.intercept)
     lead = [0.0] * first  # the unpenalized intercept's ridge coefficient
 
     def objective(ll, vals):
-        return ll - n * sum(penalty.value(p, abs(b)) for b in vals[first:])
+        return ll - n * sum(pen_value(abs(b)) for b in vals[first:])
 
-    alive = pred
+    alive = list(_predictor_indices(d))
     ll = glm.loglik(d, beta)
     vals = beta.tolist()
     trace = [objective(ll, vals)]
@@ -172,7 +174,7 @@ def lqa_fit(d: glm.Dataset, p: PenaltySpec, b0=None, eps0: float | None = None,
         if dead or idx is None:
             idx = np.asarray([0] * first + alive, dtype=int)
             block = None if hess is None else hess[np.ix_(idx, idx)]
-        c2 = np.array(lead + [n * penalty.lqa_coefficient(p, abs(vals[j]), 0.0) for j in alive])
+        c2 = np.array(lead + [n * penalty.lqa_coefficient(p, abs(vals[j]), tau0) for j in alive])
         if idx.size:
             new, ll = _newton_argmax_quadratic(d, c2, idx, beta, ll, tol / 10.0, block)
         else:
@@ -182,9 +184,28 @@ def lqa_fit(d: glm.Dataset, p: PenaltySpec, b0=None, eps0: float | None = None,
         vals = beta.tolist()
         trace.append(objective(ll, vals))
         if delta <= tol and not dead:
-            return _result_from_model_vector(d, beta, p.lam, "lqa", trace, it)
-    partial = _result_from_model_vector(d, beta, p.lam, "lqa", trace, max_iter, converged=False)
-    raise NonConvergence(f"LQA did not converge in {max_iter} iterations", result=partial)
+            return beta, trace, it
+    partial = _result_from_model_vector(d, beta, p.lam, method, trace, max_iter, converged=False)
+    label = method.replace("_", " ").replace("lqa", "LQA")
+    raise NonConvergence(f"{label} did not converge in {max_iter} iterations", result=partial)
+
+
+def lqa_fit(d: glm.Dataset, p: PenaltySpec, b0=None, eps0: float | None = None,
+            tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> FitResult:
+    """LQA estimator with the deletion rule.
+
+    Any coordinate whose current magnitude drops below ``eps0`` is set to an
+    exact zero and permanently removed from the iteration.  ``eps0``
+    defaults to 1e-8 times the largest initial coefficient magnitude.
+    """
+    beta, top = _start(d, b0)
+    if eps0 is None:
+        eps0 = EPS0_SCALE * top if top > 0 else EPS0_SCALE
+    if not eps0 > 0:
+        raise ValueError("eps0 must be positive")
+    beta, trace, it = _ridge_lqa(d, p, beta, 0.0, eps0, lambda t: penalty.value(p, t), "lqa",
+                                 tol, max_iter)
+    return _result_from_model_vector(d, beta, p.lam, "lqa", trace, it)
 
 
 def perturbed_lqa_fit(d: glm.Dataset, p: PenaltySpec, b0=None, tau0: float | None = None,
@@ -197,43 +218,14 @@ def perturbed_lqa_fit(d: glm.Dataset, p: PenaltySpec, b0=None, tau0: float | Non
     convergence with a hard-zero cutoff of 1e-6 times the largest
     coefficient magnitude.
     """
-    if b0 is None:
-        b0 = glm.fit_mle(d)
-    beta = np.asarray(b0, dtype=float).copy()
-    pred = list(_predictor_indices(d))
+    beta, top = _start(d, b0)
     if tau0 is None:
-        top = float(np.max(np.abs(beta[pred]))) if pred else 0.0
         tau0 = TAU0_SCALE * top if top > 0 else TAU0_SCALE
     if not tau0 > 0:
         raise ValueError("tau0 must be positive")
-    idx = np.arange(d.n_coef)
-    hess = _gaussian_hessian(d, beta)
-    n, first = d.n, int(d.intercept)
-    lead = [0.0] * first  # the unpenalized intercept's ridge coefficient
-
-    def objective(ll, vals):
-        return ll - n * sum(perturbed_penalty_value(p, abs(b), tau0) for b in vals[first:])
-
-    ll = glm.loglik(d, beta)
-    vals = beta.tolist()
-    trace = [objective(ll, vals)]
-    for it in range(1, max_iter + 1):
-        c2 = np.array(lead + [n * penalty.lqa_coefficient(p, abs(b), tau0) for b in vals[first:]])
-        new, ll = _newton_argmax_quadratic(d, c2, idx, beta, ll, tol / 10.0, hess)
-        delta = float(abs(new - beta).max())
-        beta = new
-        vals = beta.tolist()
-        trace.append(objective(ll, vals))
-        if delta <= tol:
-            top = float(np.max(np.abs(beta[pred]))) if pred else 0.0
-            cutoff = SUPPORT_CUTOFF_SCALE * top
-            for j in pred:
-                if abs(beta[j]) <= cutoff:
-                    beta[j] = 0.0
-            return _result_from_model_vector(d, beta, p.lam, "perturbed_lqa", trace, it)
-    partial = _result_from_model_vector(
-        d, beta, p.lam, "perturbed_lqa", trace, max_iter, converged=False
-    )
-    raise NonConvergence(
-        f"perturbed LQA did not converge in {max_iter} iterations", result=partial
-    )
+    beta, trace, it = _ridge_lqa(d, p, beta, tau0, 0.0,
+                                 lambda t: perturbed_penalty_value(p, t, tau0),
+                                 "perturbed_lqa", tol, max_iter)
+    coef = beta[int(d.intercept):]  # a view: the cutoff zeroes predictors in place
+    coef[np.abs(coef) <= SUPPORT_CUTOFF_SCALE * np.max(np.abs(coef))] = 0.0
+    return _result_from_model_vector(d, beta, p.lam, "perturbed_lqa", trace, it)

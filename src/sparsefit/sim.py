@@ -174,37 +174,21 @@ def _draw_covariates(spec: ScenarioSpec, rng: np.random.Generator, size: int) ->
     return x
 
 
-def gen_linear(spec: ScenarioSpec, rep_index: int) -> glm.Dataset:
-    """y = x' beta + standard normal noise, x ~ N(0, AR(rho))."""
-    rng = _rng(spec, rep_index, _TAG_DATA)
-    x = _draw_covariates(spec, rng, spec.n)
-    y = x @ np.asarray(spec.beta_true) + rng.standard_normal(spec.n)
-    return glm.Dataset(x, y, "gaussian")
-
-
-def gen_logistic(spec: ScenarioSpec, rep_index: int) -> glm.Dataset:
-    """Bernoulli responses; odd covariates continuous, even ones I(z < 0)."""
-    rng = _rng(spec, rep_index, _TAG_DATA)
-    x = _draw_covariates(spec, rng, spec.n)
-    prob = expit(x @ np.asarray(spec.beta_true))
-    y = (rng.random(spec.n) < prob).astype(float)
-    return glm.Dataset(x, y, "logistic")
-
-
-def gen_poisson(spec: ScenarioSpec, rep_index: int) -> glm.Dataset:
-    """Poisson responses with rate exp(x' beta), covariates as in the linear case."""
-    rng = _rng(spec, rep_index, _TAG_DATA)
-    x = _draw_covariates(spec, rng, spec.n)
-    y = rng.poisson(np.exp(x @ np.asarray(spec.beta_true))).astype(float)
-    return glm.Dataset(x, y, "poisson")
-
-
 def generate(spec: ScenarioSpec, rep_index: int) -> glm.Dataset:
+    """The data of replication ``rep_index``: covariates first, then responses.
+
+    linear: y = x' beta + standard normal noise, x ~ N(0, AR(rho));
+    logistic: Bernoulli responses, odd covariates continuous, even ones
+    I(z < 0); poisson: rate exp(x' beta), covariates as in the linear case.
+    """
+    rng = _rng(spec, rep_index, _TAG_DATA)
+    x = _draw_covariates(spec, rng, spec.n)
+    eta = x @ np.asarray(spec.beta_true)
     if spec.example == "linear":
-        return gen_linear(spec, rep_index)
+        return glm.Dataset(x, eta + rng.standard_normal(spec.n), "gaussian")
     if spec.example == "logistic":
-        return gen_logistic(spec, rep_index)
-    return gen_poisson(spec, rep_index)
+        return glm.Dataset(x, (rng.random(spec.n) < expit(eta)).astype(float), "logistic")
+    return glm.Dataset(x, rng.poisson(np.exp(eta)).astype(float), "poisson")
 
 
 def model_error(family: str, beta_hat, beta_true, sigma=None, test_design=None) -> float:

@@ -2,9 +2,9 @@
 
 Per-coordinate weights may be 0 (unpenalized) or +inf (coordinate pinned to
 an exact zero).  The solver is cyclic coordinate descent over a precomputed
-Gram matrix, with active-set sweeps and warm starts; a pathwise driver walks
-a descending lambda grid reusing the Gram work.  Solutions are certified
-against the subgradient optimality conditions before being returned.
+Gram matrix, with active-set sweeps and warm starts.  Solutions are
+certified against the subgradient optimality conditions before being
+returned.
 
 The coordinate loop runs on Python floats and lists (Gram columns, gradient,
 weights, iterate), not on numpy arrays: the problems are small (p <= ~20),
@@ -246,28 +246,3 @@ def solve(prob: WlassoProblem, tol: float = DEFAULT_TOL,
     beta, kkt, _ = solve_gram(G, b, prob.weights, tol, max_sweeps, x0)
     return WlassoSolution(beta, objective(prob, beta), kkt)
 
-
-def solve_path(prob: WlassoProblem, lambda_grid, tol: float = DEFAULT_TOL,
-               max_sweeps: int = DEFAULT_MAX_SWEEPS):
-    """Warm-started solutions along a strictly descending positive grid.
-
-    ``prob.weights`` is read as the unit profile u, so point k solves the
-    problem with weights ``lambda_grid[k] * u``.
-    """
-    grid = np.asarray(lambda_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("lambda grid must be a nonempty vector")
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) >= 0.0):
-        raise ValueError("lambda grid must be strictly descending and positive")
-    G = prob.wdesign.T @ prob.wdesign
-    b = prob.wdesign.T @ prob.wresponse
-    u = prob.weights
-    out = []
-    beta = None
-    for lam in grid:
-        w = np.where(np.isinf(u), np.inf, lam * u)
-        beta, kkt, _ = solve_gram(G, b, w, tol, max_sweeps, x0=beta)
-        r = prob.wresponse - prob.wdesign @ beta
-        pen = float(np.sum(w[(beta != 0.0) & np.isfinite(w)] * np.abs(beta[(beta != 0.0) & np.isfinite(w)])))
-        out.append(WlassoSolution(beta, float(0.5 * r @ r + pen), kkt))
-    return out

@@ -229,7 +229,7 @@ def test_criterion_10_oracle_property_trend():
     m = spec.methods[0]
     se_scad, se_oracle = [], []
     for r in range(reps):
-        d = sim.gen_linear(spec, r)
+        d = sim.generate(spec, r)
         b_full = glm.fit_mle(d)
         cv_seed = int(np.random.SeedSequence([spec.seed, r, 2]).generate_state(1)[0])
         bh = sim._fit_penalized(spec, m, d, b_full, cv_seed)

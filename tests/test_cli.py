@@ -8,6 +8,8 @@ from sparsefit import cli, glm, lla, lqa
 from sparsefit.exceptions import NonConvergence, SingularDesign
 from sparsefit.lla import FitResult
 
+from conftest import random_dataset
+
 
 @pytest.fixture
 def runner():
@@ -164,6 +166,65 @@ class TestFit:
         doc = json.loads(out.read_text())
         reparsed = json.loads(out.read_text())
         assert doc == reparsed  # round-trip stable
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_subset_mle_nonconvergence_is_exit_4(self, runner, tmp_path, intercept):
+        # a duplicated column makes some subsets' logistic Newton MLE fail
+        d = random_dataset(3, 70, 6, "logistic")
+        X = d.design.copy()
+        X[:, 2] = X[:, 0]
+        rows = [",".join([f"x{j + 1}" for j in range(6)] + ["y"])]
+        rows += [",".join(format(v, ".17g") for v in [*x, y]) for x, y in zip(X, d.response)]
+        path = tmp_path / "dup.csv"
+        path.write_text("\n".join(rows) + "\n")
+        res = runner.invoke(
+            cli.main,
+            ["fit", "--data", str(path), "--response", "y", "--family", "logistic",
+             "--method", "subset"] + (["--intercept"] if intercept else []),
+        )
+        assert res.exit_code == 4, res.output
+        assert "error: " in res.output
+        assert isinstance(res.exception, SystemExit)
+
+
+class TestSolverErrorExitCodes:
+    """``fit``, ``path`` and ``cv`` share one mapping of solver errors."""
+
+    @pytest.mark.parametrize("exc, code", [(NonConvergence("stalled"), 4),
+                                           (SingularDesign("singular"), 3)],
+                             ids=["nonconvergence", "singular"])
+    @pytest.mark.parametrize("command, module, name",
+                             [("path", lla, "one_step_path"), ("cv", cli.methods, "select_lambda")],
+                             ids=["path", "cv"])
+    def test_exit_code(self, runner, toy_csv, monkeypatch, command, module, name, exc, code):
+        path, _, _ = toy_csv
+
+        def explode(*a, **k):
+            raise exc
+
+        monkeypatch.setattr(module, name, explode)
+        res = runner.invoke(
+            cli.main,
+            [command, "--data", str(path), "--response", "y", "--penalty", "scad:lambda=1"],
+        )
+        assert res.exit_code == code, res.output
+        assert f"error: {exc}" in res.output
+
+    def test_array_partial_is_not_written(self, runner, toy_csv, monkeypatch, tmp_path):
+        path, _, _ = toy_csv
+
+        def explode(*a, **k):
+            raise NonConvergence("sweeps exhausted", result=np.zeros(3))
+
+        monkeypatch.setattr(cli.lla, "one_step", explode)
+        out = tmp_path / "fit.json"
+        res = runner.invoke(
+            cli.main,
+            ["fit", "--data", str(path), "--response", "y", "--method", "one-step",
+             "--penalty", "l1:lambda=1", "--out", str(out)],
+        )
+        assert res.exit_code == 4, res.output
+        assert not out.exists()
 
 
 class TestCvFitDispatch:
@@ -346,6 +407,13 @@ methods = one-step:scad, subset:bic
         res = runner.invoke(cli.main, ["simulate", "--config", str(cfg)])
         assert res.exit_code == 3
         assert "tuning" in res.output
+
+    def test_unknown_key_exit_3(self, runner, tmp_path):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(self.CONFIG + "n_lamda = 5\n")
+        res = runner.invoke(cli.main, ["simulate", "--config", str(cfg)])
+        assert res.exit_code == 3
+        assert "n_lamda" in res.output
 
     def test_missing_scenario_exit_3(self, runner, tmp_path):
         cfg = tmp_path / "demo.cfg"

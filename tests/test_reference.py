@@ -6,7 +6,10 @@ runs.  These tests run the recorded ``sim_linear`` units and the first five
 so a change that moves a selection (C, IC or fit class) or an MRME beyond its
 1e-9 relative tolerance fails here first.  Three unrecorded ``sim_lqa`` units
 whose LQA refit at the chosen lambda does not converge get the structural
-check.  They read the benchmark's files and write none.
+check.  The recorded ``cli_session`` units and threshold curves, the only
+pins on the bytes of ``fit --method k-step`` and ``full-lla``, run the same
+way.  They read the benchmark's files and write only to a temporary
+directory.
 """
 
 import importlib.util
@@ -46,3 +49,18 @@ def test_lqa_unit_with_failing_chosen_refit_is_correct(k):
     key, _, outputs, _ = workload.run_unit(0, k)
     assert key not in REFERENCE["sim_lqa"]
     assert workload.check(key, outputs, REFERENCE["sim_lqa"]) == []
+
+
+@pytest.mark.parametrize("k", range(40))
+def test_cli_unit_matches_reference(tmp_path, k):
+    workload = workloads.make("cli_session", str(tmp_path))
+    key, _, outputs, _ = workload.run_unit(0, k)
+    assert key in REFERENCE["cli_session"]
+    assert workload.check(key, outputs, REFERENCE["cli_session"]) == []
+
+
+def test_cli_threshold_curves_match_reference(tmp_path):
+    workload = workloads.make("cli_session", str(tmp_path))
+    _, _, outputs = workload.run_curves()
+    assert "curves" in REFERENCE["cli_session"]
+    assert workload.check_curves(outputs, REFERENCE["cli_session"]) == []

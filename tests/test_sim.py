@@ -29,16 +29,16 @@ class TestArCovariance:
 class TestGenerators:
     def test_linear_deterministic(self):
         spec = tiny_spec()
-        a = sim.gen_linear(spec, 3)
-        b = sim.gen_linear(spec, 3)
+        a = sim.generate(spec, 3)
+        b = sim.generate(spec, 3)
         assert np.array_equal(a.design, b.design)
         assert np.array_equal(a.response, b.response)
-        c = sim.gen_linear(spec, 4)
+        c = sim.generate(spec, 4)
         assert not np.array_equal(a.response, c.response)
 
     def test_linear_null_model_is_standard_normal(self):
         spec = tiny_spec(n=100_000, beta_true=(0.0,) * 12)
-        d = sim.gen_linear(spec, 0)
+        d = sim.generate(spec, 0)
         assert abs(d.response.mean()) < 0.02
         assert abs(d.response.std() - 1.0) < 0.02
 
@@ -58,7 +58,7 @@ class TestGenerators:
 
     def test_logistic_binary_coordinates(self):
         spec = tiny_spec("logistic", n=200)
-        d = sim.gen_logistic(spec, 0)
+        d = sim.generate(spec, 0)
         evens = d.design[:, 1::2]
         assert set(np.unique(evens)) <= {0.0, 1.0}
         odds = d.design[:, 0::2]
@@ -66,18 +66,18 @@ class TestGenerators:
 
     def test_logistic_binary_marginal_mean(self):
         spec = tiny_spec("logistic", n=100_000)
-        d = sim.gen_logistic(spec, 1)
+        d = sim.generate(spec, 1)
         means = d.design[:, 1::2].mean(axis=0)
         assert np.all(np.abs(means - 0.5) < 0.01)
 
     def test_logistic_null_model(self):
         spec = tiny_spec("logistic", n=100_000, beta_true=(0.0,) * 12)
-        d = sim.gen_logistic(spec, 0)
+        d = sim.generate(spec, 0)
         assert abs(d.response.mean() - 0.5) < 0.01
 
     def test_poisson_null_model_mean_one(self):
         spec = tiny_spec("poisson", n=100_000, beta_true=(0.0,) * 12)
-        d = sim.gen_poisson(spec, 0)
+        d = sim.generate(spec, 0)
         assert abs(d.response.mean() - 1.0) < 0.02
 
     @pytest.mark.parametrize("example", ["linear", "logistic", "poisson"])
@@ -90,7 +90,7 @@ class TestGenerators:
 
     def test_poisson_conditional_mean_tracks_exp(self):
         spec = tiny_spec("poisson", n=100_000)
-        d = sim.gen_poisson(spec, 2)
+        d = sim.generate(spec, 2)
         mu = d.design @ np.asarray(spec.beta_true)
         for lo in np.arange(-1.5, 1.5, 0.5):
             mask = (mu >= lo) & (mu < lo + 0.5)

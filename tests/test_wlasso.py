@@ -106,40 +106,34 @@ class TestCertifyKkt:
 
 
 class TestSolvePath:
+    """Points of the solution path lambda -> argmin at weights lambda * u,
+    each a single solve."""
+
     def test_lambda_max_zeroes_everything(self):
         prob = random_problem(42)
         u = np.where(np.isinf(prob.weights), np.inf, 1.0)
         uprob = WlassoProblem(prob.wdesign, prob.wresponse, u)
         lam_max = wlasso.lambda_max(uprob)
-        sol = wlasso.solve_path(uprob, [lam_max])[0]
+        sol = wlasso.solve(WlassoProblem(prob.wdesign, prob.wresponse, lam_max * u))
         assert np.all(sol.beta[np.isfinite(u) & (u > 0)] == 0.0)
-        below = wlasso.solve_path(uprob, [0.999 * lam_max])[0]
+        below = wlasso.solve(WlassoProblem(prob.wdesign, prob.wresponse, 0.999 * lam_max * u))
         assert np.any(below.beta != 0.0)
 
     def test_path_limits(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((12, 3))
         y = rng.standard_normal(12)
-        prob = WlassoProblem(X, y, np.ones(3))
-        lam_max = wlasso.lambda_max(prob)
-        sols = wlasso.solve_path(prob, [lam_max, 1e-10])
-        assert np.all(sols[0].beta == 0.0)
+        u = np.ones(3)
+        lam_max = wlasso.lambda_max(WlassoProblem(X, y, u))
+        top, bottom = (wlasso.solve(WlassoProblem(X, y, lam * u)) for lam in (lam_max, 1e-10))
+        assert np.all(top.beta == 0.0)
         ls = np.linalg.lstsq(X, y, rcond=None)[0]
-        assert np.allclose(sols[-1].beta, ls, atol=1e-6)
+        assert np.allclose(bottom.beta, ls, atol=1e-6)
 
     def test_orthonormal_soft_threshold_profile(self):
-        prob = WlassoProblem([[1.0]], [3.0], [1.0])
-        grid = np.array([4.0, 2.0, 1.0, 0.5])
-        sols = wlasso.solve_path(prob, grid)
-        for lam, sol in zip(grid, sols):
+        for lam in (4.0, 2.0, 1.0, 0.5):
+            sol = wlasso.solve(WlassoProblem([[1.0]], [3.0], [lam]))
             assert sol.beta[0] == pytest.approx(max(3.0 - lam, 0.0), abs=1e-10)
-
-    def test_grid_validation(self):
-        prob = WlassoProblem([[1.0]], [3.0], [1.0])
-        with pytest.raises(ValueError):
-            wlasso.solve_path(prob, [1.0, 2.0])
-        with pytest.raises(ValueError):
-            wlasso.solve_path(prob, [1.0, -1.0])
 
 
 @pytest.mark.parametrize("seed", range(40))

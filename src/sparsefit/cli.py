@@ -213,6 +213,8 @@ def cv(data, response, family, method, penalty_str, folds, n_lambda, min_ratio,
 def threshold_cmd(penalty_str, mode, zmin, zmax, step, out):
     """Thresholding-rule curve theta(z) on a z grid, with a jump report."""
     pen = _parse_penalty_flag(penalty_str)
+    if not np.isfinite([zmin, zmax, step]).all():
+        raise click.UsageError("--zmin, --zmax and --step must be finite")
     if not step > 0 or not zmax > zmin:
         raise click.UsageError("need step > 0 and zmax > zmin")
     grid = np.arange(zmin, zmax + step / 2.0, step)

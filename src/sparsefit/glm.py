@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 from .exceptions import DataError, NonConvergence, RidgeFallbackWarning, SingularDesign
 
@@ -107,6 +106,7 @@ def _mean(family: str, eta: np.ndarray) -> np.ndarray:
     if family == "gaussian":
         return eta
     if family == "logistic":
+        from scipy.special import expit  # deferred: most of the package import time
         return expit(eta)
     return np.exp(eta)
 
@@ -114,10 +114,8 @@ def _mean(family: str, eta: np.ndarray) -> np.ndarray:
 def _curvature(family: str, eta: np.ndarray) -> np.ndarray:
     if family == "gaussian":
         return np.ones(eta.shape)
-    if family == "logistic":
-        pr = expit(eta)
-        return pr * (1.0 - pr)
-    return np.exp(eta)
+    mu = _mean(family, eta)
+    return mu * (1.0 - mu) if family == "logistic" else mu
 
 
 def _eta_loglik(family: str, y: np.ndarray, eta: np.ndarray):
@@ -126,6 +124,7 @@ def _eta_loglik(family: str, y: np.ndarray, eta: np.ndarray):
         return -0.5 * np.sum((y - eta) ** 2, axis=-1)
     if family == "logistic":
         return np.sum(y * eta - np.logaddexp(0.0, eta), axis=-1)
+    from scipy.special import gammaln
     return np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0), axis=-1)
 
 

@@ -20,7 +20,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import glm, jsonio, methods, subset, tuning
 from .penalty import PenaltySpec
@@ -187,6 +186,7 @@ def generate(spec: ScenarioSpec, rep_index: int) -> glm.Dataset:
     if spec.example == "linear":
         return glm.Dataset(x, eta + rng.standard_normal(spec.n), "gaussian")
     if spec.example == "logistic":
+        from scipy.special import expit  # deferred: most of the package import time
         return glm.Dataset(x, (rng.random(spec.n) < expit(eta)).astype(float), "logistic")
     return glm.Dataset(x, rng.poisson(np.exp(eta)).astype(float), "poisson")
 
@@ -215,6 +215,7 @@ def model_error(family: str, beta_hat, beta_true, sigma=None, test_design=None) 
     if family == "logistic":
         if test_design is None:
             raise ValueError("logistic model error needs a Monte Carlo test design")
+        from scipy.special import expit
         X = np.asarray(test_design)
         return float(np.mean((expit(X @ bh) - expit(X @ bt)) ** 2))
     raise ValueError(f"unknown family {family!r}")

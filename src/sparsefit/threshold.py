@@ -2,9 +2,10 @@
 
 ``exact_rule`` minimizes 0.5 (z - theta)^2 + p_lam(|theta|) by a dense grid
 with golden-section refinement, one implementation for every family (several
-of which induce discontinuous rules).  ``one_step_rule`` is the closed-form
-soft threshold by the penalty derivative at |z|.  ``emit_curve`` tabulates a
-rule over a z grid and flags jumps.
+of which induce discontinuous rules); an exact curve tabulates the penalty on
+the grid once and scans a prefix of that table per z.  ``one_step_rule`` is
+the closed-form soft threshold by the penalty derivative at |z|.
+``emit_curve`` tabulates a rule over a z grid and flags jumps.
 """
 
 import math
@@ -46,11 +47,6 @@ def _values(p: PenaltySpec, t: np.ndarray) -> np.ndarray:
     )
 
 
-def _objective(p: PenaltySpec, z: float, theta: np.ndarray) -> np.ndarray:
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    return 0.5 * (z - th) ** 2 + _values(p, np.abs(th))
-
-
 def _golden_section(f, lo, hi, iters=80):
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
@@ -68,25 +64,21 @@ def _golden_section(f, lo, hi, iters=80):
     return x1 if f1 <= f2 else x2
 
 
-def exact_rule(p: PenaltySpec, z: float) -> float:
-    """Global minimizer of 0.5 (z - theta)^2 + p_lam(|theta|).
+def _half_table(p: PenaltySpec, zmax: float):
+    """Nonnegative grid of the search for every |z| <= zmax, with its penalty."""
+    ts = np.arange(0.0, zmax + 1.0 + GRID_STEP / 2.0, GRID_STEP)
+    return ts, _values(p, ts)
 
-    Dense grid over [-(|z|+1), |z|+1] with step 1e-4, then golden-section
-    refinement around the best grid point; exact ties go to the smaller
-    |theta|.  The logarithm penalty has value -inf at 0, so its exact rule
-    is identically 0.
-    """
-    half = abs(z) + 1.0
-    ts = np.arange(0.0, half + GRID_STEP / 2.0, GRID_STEP)
-    grid = np.concatenate([-ts[:0:-1], ts])  # symmetric, contains exact 0.0
-    vals = _objective(p, z, grid)
-    best = np.min(vals)
-    if not np.isfinite(best):  # -inf at the origin (log penalty)
+
+def _exact_on_table(p: PenaltySpec, z: float, ts: np.ndarray, pen: np.ndarray) -> float:
+    """``exact_rule`` at z from a ``_half_table`` built for some zmax >= |z|."""
+    az = abs(z)
+    n = math.ceil((az + 1.0 + GRID_STEP / 2.0) / GRID_STEP)
+    vals = 0.5 * (az - ts[:n]) ** 2 + pen[:n]
+    i = int(np.argmin(vals))
+    if i == 0 or not math.isfinite(vals[i]):  # -inf at the origin: log penalty
         return 0.0
-    ties = np.flatnonzero(vals <= best)
-    theta0 = float(grid[ties[np.argmin(np.abs(grid[ties]))]])
-    if theta0 == 0.0:
-        return 0.0
+    theta0 = -float(ts[i]) if z < 0.0 else float(ts[i])
 
     def f(t):
         return 0.5 * (z - t) ** 2 + penalty.value(p, abs(t))
@@ -99,6 +91,25 @@ def exact_rule(p: PenaltySpec, z: float) -> float:
             hi = 0.0
     refined = _golden_section(f, lo, hi)
     return float(refined) if f(refined) <= f(theta0) else theta0
+
+
+def exact_rule(p: PenaltySpec, z: float) -> float:
+    """Global minimizer of 0.5 (z - theta)^2 + p_lam(|theta|).
+
+    Dense grid over [-(|z|+1), |z|+1] with step 1e-4, then golden-section
+    refinement around the best grid point; exact ties go to the smaller
+    |theta|.  The logarithm penalty has value -inf at 0, so its exact rule
+    is identically 0.  The grid is scanned as a prefix of the nonnegative
+    table ``_half_table``, on the sign of z, which is the same search bit
+    for bit: (1) ``np.arange(0.0, h, step)`` fills ``i * step`` and has
+    ``ceil(h / step)`` points, so a prefix of a longer table is this z's
+    grid, and ``_values`` is elementwise; (2) rounding is monotone, so
+    fl(|z| + t) >= |fl(|z| - t)| and no point across the origin beats its
+    mirror (a tie across needs |z| below half an ulp of t, where theta = 0
+    wins), and negation is exact, so z < 0 scans the values of |z|; (3) the
+    first minimum along t is the smallest tied |theta|.
+    """
+    return _exact_on_table(p, z, *_half_table(p, abs(z)))
 
 
 def one_step_rule(p: PenaltySpec, z: float) -> float:
@@ -131,8 +142,11 @@ def emit_curve(p: PenaltySpec, mode: str, z_grid) -> CurveTable:
     if mode not in ("exact", "one_step"):
         raise ValueError("mode must be 'exact' or 'one_step'")
     z = np.asarray(z_grid, dtype=float)
-    rule = exact_rule if mode == "exact" else one_step_rule
-    theta = np.array([rule(p, float(zi)) for zi in z])
+    if mode == "exact":
+        table = _half_table(p, float(np.max(np.abs(z), initial=0.0)))
+        theta = np.array([_exact_on_table(p, float(zi), *table) for zi in z])
+    else:
+        theta = np.array([one_step_rule(p, float(zi)) for zi in z])
     flags = []
     for i in range(z.size - 1):
         dz = z[i + 1] - z[i]

@@ -359,6 +359,17 @@ class TestThresholdCmd:
         )
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--zmax", "inf"), ("--zmin", "-inf"), ("--step", "inf"), ("--zmax", "nan"), ("--step", "nan")],
+    )
+    def test_non_finite_bound_exit_2(self, runner, flag, value):
+        res = runner.invoke(
+            cli.main, ["threshold", "--penalty", "scad:lambda=2", "--mode", "exact", flag, value]
+        )
+        assert res.exit_code == 2, res.output
+        assert "must be finite" in res.output
+
 
 class TestSimulate:
     CONFIG = """

@@ -123,7 +123,8 @@ def test_lqa_and_plqa_agree_on_well_separated_instance():
     assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-4
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
+def _loaded_after_cli_import(module):
+    """Whether a fresh interpreter has ``module`` loaded after ``import sparsefit.cli``."""
     import os
     import subprocess
     import sys
@@ -133,12 +134,19 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(sparsefit.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, sparsefit.cli; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, sparsefit.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    assert not _loaded_after_cli_import("scipy.integrate")
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    assert not _loaded_after_cli_import("scipy.special")
 
 
 # ---------------------------------------------------------------------------

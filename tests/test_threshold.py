@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsefit import penalty as pen_mod
 from sparsefit import threshold
 from sparsefit.penalty import PenaltySpec
 
@@ -16,8 +17,6 @@ def test_vectorized_values_match_scalar():
         PenaltySpec("scad", 0.0),
     ]
     ts = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 7.4, 9.0])
-    from sparsefit import penalty as pen_mod
-
     for spec in specs:
         vec = threshold._values(spec, ts)
         for t, v in zip(ts, vec):
@@ -101,6 +100,124 @@ class TestEmitCurve:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             threshold.emit_curve(SCAD2, "both", [0.0])
+
+    @pytest.mark.parametrize("mode", ["exact", "one_step"])
+    def test_empty_grid_gives_empty_table(self, mode):
+        table = threshold.emit_curve(SCAD2, mode, [])
+        assert table.theta.shape == (0,) and table.theta.dtype == np.float64
+        assert table.discontinuities == ()
+
+    def test_exact_curve_tabulates_penalty_once(self, monkeypatch):
+        calls = []
+        values = threshold._values
+
+        def counting(p, t):
+            calls.append(t.size)
+            return values(p, t)
+
+        monkeypatch.setattr(threshold, "_values", counting)
+        threshold.emit_curve(SCAD2, "exact", np.arange(-3.0, 3.0 + 1e-9, 0.5))
+        assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity oracle: the dense symmetric grid search that the half-table
+# scan replaced.  Every z gets its own grid over [-(|z|+1), |z|+1], the
+# penalty is evaluated on all of it, exact ties go to the smallest |theta| by
+# argmin over the tied points, and golden section refines the winner.
+
+
+def _oracle_golden(f, lo, hi, iters=80):
+    g = (5.0 ** 0.5 - 1.0) / 2.0
+    a, b = lo, hi
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - g * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + g * (b - a)
+            f2 = f(x2)
+    return x1 if f1 <= f2 else x2
+
+
+def _oracle_exact(p, z):
+    step = threshold.GRID_STEP
+    ts = np.arange(0.0, abs(z) + 1.0 + step / 2.0, step)
+    grid = np.concatenate([-ts[:0:-1], ts])
+    vals = 0.5 * (z - grid) ** 2 + threshold._values(p, np.abs(grid))
+    best = np.min(vals)
+    if not np.isfinite(best):
+        return 0.0
+    ties = np.flatnonzero(vals <= best)
+    theta0 = float(grid[ties[np.argmin(np.abs(grid[ties]))]])
+    if theta0 == 0.0:
+        return 0.0
+
+    def f(t):
+        return 0.5 * (z - t) ** 2 + pen_mod.value(p, abs(t))
+
+    lo, hi = theta0 - step, theta0 + step
+    if lo < 0.0 < hi:
+        if theta0 > 0.0:
+            lo = 0.0
+        else:
+            hi = 0.0
+    refined = _oracle_golden(f, lo, hi)
+    return float(refined) if f(refined) <= f(theta0) else theta0
+
+
+def _oracle_flags(z, theta):
+    flags = []
+    for i in range(z.size - 1):
+        dz = z[i + 1] - z[i]
+        scale = 1.0 + max(abs(theta[i]), abs(theta[i + 1]))
+        if dz > 0.0 and abs(theta[i + 1] - theta[i]) > threshold.JUMP_FACTOR * dz * scale:
+            flags.append(float(z[i]))
+    return tuple(flags)
+
+
+ORACLE_PENALTIES = [
+    PenaltySpec("scad", 2.0, a=3.7),
+    PenaltySpec("scad", 2.0, a=2.1),
+    PenaltySpec("scad", 0.3, a=3.7),
+    PenaltySpec("scad", 0.3, a=2.1),
+    PenaltySpec("l1", 2.0),
+    PenaltySpec("lq", 2.0, q=0.5),
+    PenaltySpec("lq", 2.0, q=0.01),
+    PenaltySpec("log", 2.0),
+    PenaltySpec("scad", 0.0),
+]
+
+#: signed zeros, tiny |z|, grid-aligned z, the SCAD knees lambda, 2 lambda
+#: and a lambda, and z where two grid points tie exactly (lambda = 0 at
+#: 5.5e-4 and 7.5e-4, L1 with lambda 2 at 2.00005)
+ORACLE_Z = [
+    0.0, -0.0, 5e-324, 1e-300, -1e-20, 1e-12, 1e-4, -1e-4, 3e-4, 5.5e-4, -7.5e-4,
+    0.3, -0.3, 0.6, 0.63, -1.11, 1.0, 2.0, -2.0, 2.00005, 3.0, 4.0, -4.2, 6.0, 7.4, -7.4,
+    0.4567, -1.2345, 2.5, -3.3333, 5.0, -9.99, 10.0,
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_PENALTIES, ids=pen_mod.format_penalty)
+def test_exact_rule_matches_dense_grid_oracle(spec):
+    got = np.array([threshold.exact_rule(spec, z) for z in ORACLE_Z])
+    want = np.array([_oracle_exact(spec, z) for z in ORACLE_Z])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", ORACLE_PENALTIES, ids=pen_mod.format_penalty)
+def test_exact_curve_matches_dense_grid_oracle(spec):
+    z = np.concatenate([np.arange(-4.0, 4.0 + 0.01, 0.02), np.sort(ORACLE_Z)])
+    table = threshold.emit_curve(spec, "exact", z)
+    want = np.array([_oracle_exact(spec, float(zi)) for zi in z])
+    assert table.theta.tobytes() == want.tobytes()
+    assert table.discontinuities == _oracle_flags(z, want)
+    if spec.family == "lq":  # bridge rules jump, so the flags are not vacuous
+        assert table.discontinuities
 
 
 class TestProfileConvergence:

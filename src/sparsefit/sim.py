@@ -186,8 +186,8 @@ def generate(spec: ScenarioSpec, rep_index: int) -> glm.Dataset:
     if spec.example == "linear":
         return glm.Dataset(x, eta + rng.standard_normal(spec.n), "gaussian")
     if spec.example == "logistic":
-        from scipy.special import expit  # deferred: most of the package import time
-        return glm.Dataset(x, (rng.random(spec.n) < expit(eta)).astype(float), "logistic")
+        y = (rng.random(spec.n) < glm._mean("logistic", eta)).astype(float)
+        return glm.Dataset(x, y, "logistic")
     return glm.Dataset(x, rng.poisson(np.exp(eta)).astype(float), "poisson")
 
 
@@ -215,9 +215,9 @@ def model_error(family: str, beta_hat, beta_true, sigma=None, test_design=None) 
     if family == "logistic":
         if test_design is None:
             raise ValueError("logistic model error needs a Monte Carlo test design")
-        from scipy.special import expit
         X = np.asarray(test_design)
-        return float(np.mean((expit(X @ bh) - expit(X @ bt)) ** 2))
+        mu_hat, mu_true = glm._mean("logistic", X @ bh), glm._mean("logistic", X @ bt)
+        return float(np.mean((mu_hat - mu_true) ** 2))
     raise ValueError(f"unknown family {family!r}")
 
 

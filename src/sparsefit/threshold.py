@@ -105,9 +105,10 @@ def exact_rule(p: PenaltySpec, z: float) -> float:
     ``ceil(h / step)`` points, so a prefix of a longer table is this z's
     grid, and ``_values`` is elementwise; (2) rounding is monotone, so
     fl(|z| + t) >= |fl(|z| - t)| and no point across the origin beats its
-    mirror (a tie across needs |z| below half an ulp of t, where theta = 0
-    wins), and negation is exact, so z < 0 scans the values of |z|; (3) the
-    first minimum along t is the smallest tied |theta|.
+    mirror (a tie across needs the gap 2 |z| t to vanish in rounding, and
+    wherever it does theta = 0 wins, because p_lam does not decrease from
+    p_lam(0)), and negation is exact, so z < 0 scans the values of |z|;
+    (3) the first minimum along t is the smallest tied |theta|.
     """
     return _exact_on_table(p, z, *_half_table(p, abs(z)))
 

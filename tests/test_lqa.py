@@ -138,7 +138,9 @@ def _loaded_after_cli_import(module):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip() == "True"
+    out = proc.stdout.strip()
+    assert out in ("True", "False"), f"unexpected child output {proc.stdout!r}"
+    return out == "True"
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

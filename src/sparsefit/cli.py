@@ -79,7 +79,7 @@ def _fit_json(fit, family, names, pen=None):
         "schema": "sparsefit/1",
         "method": fit.method,
         "family": family,
-        "penalty": format_penalty(pen) if pen is not None else None,
+        "penalty": format_penalty(replace(pen, lam=fit.lam)) if pen is not None else None,
         "lambda": fit.lam,
         "coefficients": list(map(float, fit.coefficients)),
         "intercept": fit.intercept,
@@ -101,18 +101,16 @@ def _fit_json(fit, family, names, pen=None):
 @click.option("--lambda", "lam", type=float, default=None, help="override the penalty level")
 @click.option("--cv", is_flag=True, help="pick lambda by k-fold cross-validation")
 @click.option("--criterion", type=click.Choice(subset.CRITERIA), default="bic")
-@click.option("--k", type=int, default=2, help="number of steps for k-step")
+@click.option("--k", type=click.IntRange(min=1), default=2, help="number of steps for k-step")
 @click.option("--eps0", type=float, default=None, help="LQA deletion cutoff")
 @click.option("--tau0", type=float, default=None, help="perturbed-LQA perturbation")
-@click.option("--folds", type=int, default=tuning.DEFAULT_FOLDS)
+@click.option("--folds", type=click.IntRange(min=2), default=tuning.DEFAULT_FOLDS)
 @click.option("--intercept", is_flag=True)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", default=None, help="write JSON here instead of stdout")
 def fit(data, response, family, method, penalty_str, lam, cv, criterion, k,
         eps0, tau0, folds, intercept, seed, out):
     """Fit one model and emit the result as JSON."""
-    if k < 1:
-        raise click.UsageError("--k must be at least 1")
     if eps0 is not None and not eps0 > 0:
         raise click.UsageError("--eps0 must be positive")
     if tau0 is not None and not tau0 > 0:
@@ -130,15 +128,13 @@ def fit(data, response, family, method, penalty_str, lam, cv, criterion, k,
         raise click.UsageError("--lambda and --cv are mutually exclusive")
     name = method.replace("-", "_")
     opts = dict(k=k, eps0=eps0, tau0=tau0)
+    if lam is not None:
+        pen = replace(pen, lam=lam)
     try:
-        b0 = None
         if cv:
-            b0 = glm.fit_mle(dataset)
-            lam, _ = methods.select_lambda(name, dataset, pen, b0, tuning.DEFAULT_N_LAMBDA,
-                                           tuning.DEFAULT_MIN_RATIO, "cv", folds, seed, **opts)
-        if lam is not None:
-            pen = replace(pen, lam=float(lam))
-        res = methods.fit(name, dataset, pen, b0=b0, **opts)
+            res = methods.tune_and_fit(name, dataset, pen, folds=folds, seed=seed, **opts)
+        else:
+            res = methods.fit(name, dataset, pen, **opts)
     except SparsefitError as exc:
         _fail_solver(exc, lambda partial: _write(_fit_json(partial, family, names, pen), out))
     _write(_fit_json(res, family, names, pen), out)
@@ -150,12 +146,14 @@ def fit(data, response, family, method, penalty_str, lam, cv, criterion, k,
 @click.option("--family", type=click.Choice(glm.FAMILIES), default="gaussian")
 @click.option("--penalty", "penalty_str", required=True,
               help="penalty family; its lambda= is ignored in favor of the grid")
-@click.option("--n-lambda", type=int, default=tuning.DEFAULT_N_LAMBDA)
+@click.option("--n-lambda", type=click.IntRange(min=1), default=tuning.DEFAULT_N_LAMBDA)
 @click.option("--min-ratio", type=float, default=tuning.DEFAULT_MIN_RATIO)
 @click.option("--intercept", is_flag=True)
 @click.option("--out", default=None)
 def path(data, response, family, penalty_str, n_lambda, min_ratio, intercept, out):
     """One-step coefficient profile over the default lambda grid (CSV)."""
+    if not 0.0 < min_ratio < 1.0:  # also rejects nan, which click.FloatRange lets through
+        raise click.UsageError("--min-ratio must lie in (0, 1)")
     dataset, names = _load(data, response, family, intercept)
     pen = _parse_penalty_flag(penalty_str)
     try:
@@ -182,8 +180,8 @@ def path(data, response, family, penalty_str, n_lambda, min_ratio, intercept, ou
 @click.option("--family", type=click.Choice(glm.FAMILIES), default="gaussian")
 @click.option("--method", type=click.Choice(("one-step", "lqa", "plqa")), default="one-step")
 @click.option("--penalty", "penalty_str", required=True)
-@click.option("--folds", type=int, default=tuning.DEFAULT_FOLDS)
-@click.option("--n-lambda", type=int, default=tuning.DEFAULT_N_LAMBDA)
+@click.option("--folds", type=click.IntRange(min=2), default=tuning.DEFAULT_FOLDS)
+@click.option("--n-lambda", type=click.IntRange(min=1), default=tuning.DEFAULT_N_LAMBDA)
 @click.option("--min-ratio", type=float, default=tuning.DEFAULT_MIN_RATIO)
 @click.option("--intercept", is_flag=True)
 @click.option("--seed", type=int, default=0)
@@ -191,6 +189,8 @@ def path(data, response, family, penalty_str, n_lambda, min_ratio, intercept, ou
 def cv(data, response, family, method, penalty_str, folds, n_lambda, min_ratio,
        intercept, seed, out):
     """Cross-validation curve as CSV; the chosen lambda is on the first line."""
+    if not 0.0 < min_ratio < 1.0:
+        raise click.UsageError("--min-ratio must lie in (0, 1)")
     dataset, _ = _load(data, response, family, intercept)
     pen = _parse_penalty_flag(penalty_str)
     try:

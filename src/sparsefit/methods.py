@@ -1,9 +1,11 @@
 """Method registry shared by the CLI and the simulations.
 
 Names are the CLI's with ``-`` read as ``_``: :func:`fit` runs one estimator
-at one lambda, :func:`select_lambda` tunes lambda with that method's fits.
+at one lambda, :func:`select_lambda` tunes lambda with that method's fits,
+and :func:`tune_and_fit` does both.
 """
 
+import math
 from dataclasses import replace
 
 from . import glm, lla, lqa, tuning
@@ -62,3 +64,28 @@ def select_lambda(method, d, proto, b0=None, n_lambda=tuning.DEFAULT_N_LAMBDA,
     if selector == "bic":
         return tuning.bic_select(d, fitter, grid)
     raise ValueError(f"selector must be cv or bic, got {selector!r}")
+
+
+def tune_and_fit(method, d, proto, b0=None, n_lambda=tuning.DEFAULT_N_LAMBDA,
+                 min_ratio=tuning.DEFAULT_MIN_RATIO, selector="cv",
+                 folds=tuning.DEFAULT_FOLDS, seed=0, **opts):
+    """Tune lambda as :func:`select_lambda` does, then refit all of ``d`` at
+    the chosen lambda from ``b0`` (default: the MLE of ``d``).
+
+    When that refit raises a solver error, the other grid points with a
+    finite score are refit in the selector's order (lowest score first, ties
+    to the larger lambda); the first error is raised only when every refit
+    fails.
+    """
+    if b0 is None:
+        b0 = glm.fit_mle(d)
+    lam_star, curve = select_lambda(method, d, proto, b0, n_lambda, min_ratio, selector,
+                                    folds, seed, **opts)
+    ranked = sorted((pt for pt in curve if pt[1] < math.inf), key=lambda pt: (pt[1], -pt[0]))
+    errors = []
+    for lam in dict.fromkeys([lam_star] + [lam for lam, _ in ranked]):
+        try:
+            return fit(method, d, replace(proto, lam=lam), b0, **opts)
+        except tuning.SOLVER_ERRORS as exc:
+            errors.append(exc)
+    raise errors[0]

@@ -103,6 +103,34 @@ def lqa_coefficient(p: PenaltySpec, t0: float, tau0: float = 0.0) -> float:
     return d / den
 
 
+def penalty_from_params(family: str, params: str, text: str,
+                        lam: float | None = None) -> PenaltySpec:
+    """A ``family`` penalty from its comma-separated ``key=value`` ``params``.
+
+    The keys are ``a`` and ``q``, plus ``lambda`` exactly when ``lam`` is not
+    given; ``lq`` requires ``q``.  ``text`` is the whole descriptor, quoted in
+    errors.  Range checks are :class:`PenaltySpec`'s.
+    """
+    keys = ("lambda", "a", "q") if lam is None else ("a", "q")
+    values = {}
+    for item in params.split(",") if params else ():
+        key, eq, val = item.partition("=")
+        key = key.strip().lower()
+        if not eq or key not in keys:
+            raise ValueError(f"bad penalty parameter {item!r} in {text!r}")
+        try:
+            values[key] = float(val)
+        except ValueError:
+            raise ValueError(f"bad numeric value in penalty parameter {item!r}") from None
+    if lam is None:
+        if "lambda" not in values:
+            raise ValueError(f"penalty {text!r} is missing lambda=")
+        lam = values.pop("lambda")
+    if family == "lq" and "q" not in values:
+        raise ValueError(f"lq penalty requires q= in {text!r}")
+    return PenaltySpec(family, lam, **values)
+
+
 def parse_penalty(text: str) -> PenaltySpec:
     """Parse a penalty from its CLI form, e.g. ``"scad:lambda=2,a=3.7"``.
 
@@ -113,27 +141,7 @@ def parse_penalty(text: str) -> PenaltySpec:
     family = head.strip().lower()
     if family not in FAMILIES:
         raise ValueError(f"unknown penalty family {family!r} in {text!r}")
-    params = {}
-    if tail:
-        for item in tail.split(","):
-            key, _, val = item.partition("=")
-            key = key.strip().lower()
-            if not _ or key not in ("lambda", "a", "q"):
-                raise ValueError(f"bad penalty parameter {item!r} in {text!r}")
-            try:
-                params[key] = float(val)
-            except ValueError:
-                raise ValueError(f"bad numeric value in penalty parameter {item!r}")
-    if "lambda" not in params:
-        raise ValueError(f"penalty {text!r} is missing lambda=")
-    if family == "lq" and "q" not in params:
-        raise ValueError("lq penalty requires q=")
-    kwargs = {}
-    if "a" in params:
-        kwargs["a"] = params["a"]
-    if "q" in params:
-        kwargs["q"] = params["q"]
-    return PenaltySpec(family, params["lambda"], **kwargs)
+    return penalty_from_params(family, tail, text)
 
 
 def format_penalty(p: PenaltySpec) -> str:

@@ -15,14 +15,13 @@ matter how replications are scheduled.
 """
 
 import concurrent.futures
-import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import glm, jsonio, methods, subset, tuning
-from .penalty import PenaltySpec
+from .penalty import PenaltySpec, penalty_from_params
 
 #: the standard coefficient vectors, zero-padded to 12 coordinates
 BETA_MAIN = (3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -43,14 +42,12 @@ class MethodSpec:
     """One row of a scenario: an estimator plus its tuning flavor."""
 
     kind: str  # one_step | lqa | plqa | subset | oracle | full
-    family: str | None = None
-    a: float = 3.7
-    q: float = 0.5
+    pen: PenaltySpec | None = None  # the penalty family and shape at lambda = 1
     criterion: str | None = None
     label: str = ""
 
     def penalty(self, lam: float) -> PenaltySpec:
-        return PenaltySpec(self.family, lam, a=self.a, q=self.q)
+        return replace(self.pen, lam=lam)
 
 
 def parse_method(text: str) -> MethodSpec:
@@ -58,7 +55,8 @@ def parse_method(text: str) -> MethodSpec:
 
     Grammar: ``oracle``, ``full``, ``subset:aic|bic`` (or bare ``aic``/
     ``bic``), and ``<kind>:<family>[(key=value,...)]`` with kind one of
-    one-step/lqa/plqa and family scad/lq/log/l1.
+    one-step/lqa/plqa, family scad/lq/log/l1, and keys those of
+    :func:`penalty.penalty_from_params` without ``lambda``.
     """
     t = text.strip().lower()
     if t == "oracle":
@@ -79,26 +77,15 @@ def parse_method(text: str) -> MethodSpec:
     if not m:
         raise ValueError(f"bad penalty in method {text!r}")
     family = m.group(1)
-    params = {}
-    if m.group(2):
-        for item in m.group(2).split(","):
-            key, _, val = item.partition("=")
-            key = key.strip()
-            if key not in ("a", "q"):
-                raise ValueError(f"bad method parameter {item!r}")
-            params[key] = float(val)
-    a = params.get("a", 3.7)
-    q = params.get("q", 0.5)
-    if family == "lq" and "q" not in params:
-        raise ValueError("lq method requires q=, e.g. one-step:lq(q=0.01)")
+    pen = penalty_from_params(family, m.group(2), text, lam=1.0)
     if kind == "one_step":
-        fam_label = {"scad": "SCAD", "log": "LOG", "l1": "L1"}.get(family, f"L_{q:g}")
+        fam_label = {"scad": "SCAD", "log": "LOG", "l1": "L1"}.get(family, f"L_{pen.q:g}")
         label = f"One-step {fam_label}"
     elif kind == "lqa":
         label = "SCAD" if family == "scad" else f"LQA {family.upper()}"
     else:
         label = "P-SCAD" if family == "scad" else f"P-LQA {family.upper()}"
-    return MethodSpec(kind, family, a, q, None, label)
+    return MethodSpec(kind, pen, None, label)
 
 
 @dataclass(frozen=True)
@@ -128,6 +115,12 @@ class ScenarioSpec:
             raise ValueError("rho must lie in (-1, 1)")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if not 2 <= self.cv_folds <= self.n:
+            raise ValueError(f"cv_folds must lie in [2, n = {self.n}], got {self.cv_folds}")
+        if self.n_lambda < 1:
+            raise ValueError("n_lambda must be at least 1")
+        if not 0.0 < self.lambda_min_ratio < 1.0:
+            raise ValueError("lambda_min_ratio must lie in (0, 1)")
         if self.example == "logistic" and self.p % 2 != 0:
             raise ValueError("the logistic example needs an even p")
         methods = tuple(
@@ -222,25 +215,11 @@ def model_error(family: str, beta_hat, beta_true, sigma=None, test_design=None) 
 
 
 def _fit_penalized(spec, m, data, b_full, cv_seed):
-    """Tune lambda for a penalized method and refit on the full data.
-
-    ``spec.tuning`` picks the selector: k-fold CV (seeded by ``cv_seed``) or
-    BIC on a single full-data path.  When the full-data refit at the chosen
-    lambda fails, the other grid points with a finite score are tried in the
-    selector's order (lowest score first, ties to the larger lambda); the
-    first error is raised only when every refit fails.
-    """
-    lam_star, curve = methods.select_lambda(m.kind, data, m.penalty(1.0), b_full, spec.n_lambda,
-                                            spec.lambda_min_ratio, spec.tuning, spec.cv_folds,
-                                            cv_seed)
-    ranked = sorted((pt for pt in curve if pt[1] < math.inf), key=lambda pt: (pt[1], -pt[0]))
-    errors = []
-    for lam in dict.fromkeys([lam_star] + [lam for lam, _ in ranked]):
-        try:
-            return methods.fit(m.kind, data, m.penalty(lam), b0=b_full).coefficients
-        except tuning.SOLVER_ERRORS as exc:
-            errors.append(exc)
-    raise errors[0]
+    """Coefficients of ``m`` tuned by ``spec.tuning`` (CV seeded by ``cv_seed``,
+    or BIC) and refit on the full data; see :func:`methods.tune_and_fit`."""
+    return methods.tune_and_fit(m.kind, data, m.pen, b_full, spec.n_lambda,
+                                spec.lambda_min_ratio, spec.tuning, spec.cv_folds,
+                                cv_seed).coefficients
 
 
 def _run_replication(spec: ScenarioSpec, rep_index: int):
@@ -293,10 +272,10 @@ def _replication_worker(args):
 
 @dataclass(frozen=True)
 class MethodRow:
-    label: str
+    method: str
     mrme: float
-    c_avg: float
-    ic_avg: float
+    c: float
+    ic: float
     underfit: float
     correctfit: float
     overfit: float
@@ -317,30 +296,9 @@ class SimulationReport:
     failure_messages: tuple = field(default=())
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "sparsefit/1",
-            "example": self.example,
-            "n": self.n,
-            "p": self.p,
-            "rho": self.rho,
-            "seed": self.seed,
-            "replications": self.replications,
-            "replications_used": self.replications_used,
-            "failures": self.failures,
-            "valid": self.valid,
-            "rows": [
-                {
-                    "method": r.label,
-                    "mrme": r.mrme,
-                    "c": r.c_avg,
-                    "ic": r.ic_avg,
-                    "underfit": r.underfit,
-                    "correctfit": r.correctfit,
-                    "overfit": r.overfit,
-                }
-                for r in self.rows
-            ],
-        }
+        doc = {"schema": "sparsefit/1", **asdict(self)}
+        del doc["failure_messages"]
+        return doc
 
 
 def report_json(report: SimulationReport) -> str:
@@ -354,7 +312,7 @@ def format_table(report: SimulationReport) -> str:
         f"seed={report.seed} replications={report.replications_used}/{report.replications}"
         f" failures={report.failures}\n"
     )
-    width = max([len("Method")] + [len(r.label) for r in report.rows])
+    width = max([len("Method")] + [len(r.method) for r in report.rows])
     lines = [
         head,
         f"{'Method':<{width}}  {'MRME':>6}  {'C':>5}  {'IC':>5}  "
@@ -362,7 +320,7 @@ def format_table(report: SimulationReport) -> str:
     ]
     for r in report.rows:
         lines.append(
-            f"{r.label:<{width}}  {r.mrme:>6.3f}  {r.c_avg:>5.2f}  {r.ic_avg:>5.2f}  "
+            f"{r.method:<{width}}  {r.mrme:>6.3f}  {r.c:>5.2f}  {r.ic:>5.2f}  "
             f"{r.underfit:>9.3f}  {r.correctfit:>11.3f}  {r.overfit:>8.3f}"
         )
     return "\n".join(lines) + "\n"

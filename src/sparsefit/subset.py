@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from . import glm
+from . import glm, lla
 from .exceptions import TooManyPredictors
 from .lla import FitResult
 
@@ -158,15 +158,4 @@ def best_subset(d: glm.Dataset, criterion: str = "bic",
         raise ValueError(f"criterion must be one of {CRITERIA}")
     fits = enumerate_subset_fits(d, max_p)
     (cols, two_ll, beta), score, lam_crit = select_from_enumeration(fits, criterion, d.n)
-    coef, intercept = d.split_coefficients(beta)
-    support = tuple(int(j) for j in np.flatnonzero(coef))
-    return FitResult(
-        coef,
-        support,
-        lam_crit,
-        "subset",
-        (score,),
-        len(fits),
-        intercept,
-        True,
-    )
+    return lla._result_from_model_vector(d, beta, lam_crit, "subset", (score,), len(fits))

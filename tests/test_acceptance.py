@@ -28,7 +28,7 @@ def _report(name, checks):
 
 
 def _row(report, label):
-    return next(r for r in report.rows if r.label == label)
+    return next(r for r in report.rows if r.method == label)
 
 
 def test_criterion_01_table1_n50():
@@ -41,8 +41,8 @@ def test_criterion_01_table1_n50():
         "criterion 1 (Table 1, n=50, one-step SCAD)",
         [
             ("MRME", abs(r.mrme - 0.208) <= 0.06, f"{r.mrme:.3f} vs 0.208+-0.06"),
-            ("C", abs(r.c_avg - 3.00) <= 0.02, f"{r.c_avg:.3f} vs 3.00+-0.02"),
-            ("IC", abs(r.ic_avg - 0.55) <= 0.30, f"{r.ic_avg:.3f} vs 0.55+-0.30"),
+            ("C", abs(r.c - 3.00) <= 0.02, f"{r.c:.3f} vs 3.00+-0.02"),
+            ("IC", abs(r.ic - 0.55) <= 0.30, f"{r.ic:.3f} vs 0.55+-0.30"),
             ("correct-fit", abs(r.correctfit - 0.771) <= 0.08, f"{r.correctfit:.3f} vs 0.771+-0.08"),
             ("runtime", elapsed < 300.0, f"{elapsed:.0f}s < 300s"),
             ("report valid", report.valid, f"failures={report.failures}"),
@@ -79,8 +79,8 @@ def test_criterion_03_table2_logistic():
     lq_row = _row(report, "One-step L_0.01")
     pairs = [
         ("MRME", log_row.mrme, lq_row.mrme),
-        ("C", log_row.c_avg, lq_row.c_avg),
-        ("IC", log_row.ic_avg, lq_row.ic_avg),
+        ("C", log_row.c, lq_row.c),
+        ("IC", log_row.ic, lq_row.ic),
         ("under", log_row.underfit, lq_row.underfit),
         ("correct", log_row.correctfit, lq_row.correctfit),
         ("over", log_row.overfit, lq_row.overfit),

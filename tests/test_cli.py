@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +186,80 @@ class TestFit:
         assert res.exit_code == 4, res.output
         assert "error: " in res.output
         assert isinstance(res.exception, SystemExit)
+
+
+class TestTuningFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["fit", "--cv", "--folds", "1"], "--folds"),
+        (["cv", "--folds", "1"], "--folds"),
+        (["path", "--n-lambda", "0"], "--n-lambda"),
+        (["cv", "--n-lambda", "0"], "--n-lambda"),
+        (["path", "--min-ratio", "0"], "--min-ratio"),
+        (["cv", "--min-ratio", "0"], "--min-ratio"),
+        (["path", "--min-ratio", "2"], "--min-ratio"),
+        (["cv", "--min-ratio", "2"], "--min-ratio"),
+        (["path", "--min-ratio", "nan"], "--min-ratio"),
+        (["cv", "--min-ratio", "nan"], "--min-ratio"),
+    ])
+    def test_out_of_range_is_exit_2(self, runner, toy_csv, argv, flag):
+        path, _, _ = toy_csv
+        res = runner.invoke(
+            cli.main,
+            [*argv, "--data", str(path), "--response", "y", "--penalty", "scad:lambda=1"],
+        )
+        assert res.exit_code == 2, res.output
+        assert flag in res.output
+
+
+class TestCvRefitFallback:
+    """``fit --cv`` refits at the next-best grid point when the refit at the
+    chosen lambda fails."""
+
+    # lambda* = 2.0: the lowest score, its tie going to the larger lambda
+    CURVE = [(4.0, 1.0), (2.0, 0.5), (1.0, 0.5), (0.5, float("inf"))]
+
+    def _run(self, runner, toy_csv, monkeypatch, tmp_path, failing):
+        path, _, _ = toy_csv
+        calls = []
+
+        def select_lambda(*args, **kwargs):
+            return 2.0, list(self.CURVE)
+
+        def fit(method, d, pen, b0=None, **kwargs):
+            calls.append(pen.lam)
+            res = FitResult(np.full(d.p, pen.lam), (0, 1, 2), pen.lam, method, (), 1)
+            if pen.lam in failing:
+                raise NonConvergence(f"no fit at {pen.lam}", result=replace(res, converged=False))
+            return res
+
+        monkeypatch.setattr(cli.methods, "select_lambda", select_lambda)
+        monkeypatch.setattr(cli.methods, "fit", fit)
+        out = tmp_path / "fit.json"
+        res = runner.invoke(
+            cli.main,
+            ["fit", "--data", str(path), "--response", "y", "--method", "lqa",
+             "--penalty", "scad:lambda=1", "--cv", "--out", str(out)],
+        )
+        return res, calls, json.loads(out.read_text())
+
+    def test_next_best_lambda_when_the_chosen_refit_fails(self, runner, toy_csv, monkeypatch,
+                                                          tmp_path):
+        res, calls, doc = self._run(runner, toy_csv, monkeypatch, tmp_path, failing={2.0})
+        assert res.exit_code == 0, res.output
+        assert calls == [2.0, 1.0]
+        assert doc["lambda"] == 1.0
+        assert doc["penalty"] == "scad:lambda=1,a=3.7"
+        assert doc["converged"] is True
+
+    def test_partial_fit_at_the_chosen_lambda_when_every_refit_fails(self, runner, toy_csv,
+                                                                    monkeypatch, tmp_path):
+        res, calls, doc = self._run(runner, toy_csv, monkeypatch, tmp_path,
+                                    failing={4.0, 2.0, 1.0, 0.5})
+        assert res.exit_code == 4, res.output
+        assert calls == [2.0, 1.0, 4.0]  # never the +inf point
+        assert doc["lambda"] == 2.0
+        assert doc["penalty"] == "scad:lambda=2,a=3.7"
+        assert doc["converged"] is False
 
 
 class TestSolverErrorExitCodes:
@@ -431,6 +506,24 @@ methods = one-step:scad, subset:bic
         cfg.write_text(self.CONFIG)
         res = runner.invoke(cli.main, ["simulate", "--config", str(cfg), "--scenario", "nope"])
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("line", ["cv_folds = 1", "cv_folds = 80", "n_lambda = 0",
+                                      "lambda_min_ratio = 0", "lambda_min_ratio = 2",
+                                      "lambda_min_ratio = nan"])
+    def test_bad_tuning_key_exit_3(self, runner, tmp_path, line):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(self.CONFIG + line + "\n")
+        res = runner.invoke(cli.main, ["simulate", "--config", str(cfg)])
+        assert res.exit_code == 3, res.output
+        assert f"[demo] {line.split()[0]}" in res.output
+
+    @pytest.mark.parametrize("method", ["one-step:scad(a=1.5)", "one-step:lq(q=1.5)"])
+    def test_bad_method_parameter_exit_3(self, runner, tmp_path, method):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(self.CONFIG.replace("one-step:scad", method))
+        res = runner.invoke(cli.main, ["simulate", "--config", str(cfg)])
+        assert res.exit_code == 3, res.output
+        assert "[demo]" in res.output
 
     def test_env_threads_fallback(self, runner, tmp_path, monkeypatch):
         cfg = tmp_path / "demo.cfg"

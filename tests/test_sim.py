@@ -6,6 +6,7 @@ import pytest
 from sparsefit import sim
 from sparsefit.exceptions import NonConvergence
 from sparsefit.lla import FitResult
+from sparsefit.penalty import PenaltySpec
 from sparsefit.sim import MethodSpec, ScenarioSpec, parse_method
 
 
@@ -165,10 +166,16 @@ class TestParseMethod:
         assert m.kind == kind
         assert m.label == label
 
-    @pytest.mark.parametrize("bad", ["one-step", "one-step:l0", "subset:cp", "lq", "one-step:lq"])
+    @pytest.mark.parametrize("bad", ["one-step", "one-step:l0", "subset:cp", "lq", "one-step:lq",
+                                     "one-step:scad(a=1.5)", "one-step:lq(q=1.5)",
+                                     "one-step:scad(lambda=2)"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_method(bad)
+
+    def test_penalty_keeps_the_parsed_shape(self):
+        m = parse_method("lqa:scad(a=3)")
+        assert m.penalty(2.0) == PenaltySpec("scad", 2.0, a=3.0)
 
 
 class TestScenarioSpec:
@@ -200,21 +207,28 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             tiny_spec(tuning="gcv")
 
+    @pytest.mark.parametrize("key, value", [("cv_folds", 1), ("cv_folds", 31), ("n_lambda", 0),
+                                            ("lambda_min_ratio", 0.0), ("lambda_min_ratio", 2.0),
+                                            ("lambda_min_ratio", math.nan)])
+    def test_tuning_keys_validated(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            tiny_spec(n=30, **{key: value})
+
 
 class TestRunScenario:
     def test_oracle_stub_metrics(self):
         rep = sim.run_scenario(tiny_spec(methods=("oracle",), reps=5))
         row = rep.rows[0]
         assert row.mrme == 0.0
-        assert row.c_avg == 3.0
-        assert row.ic_avg == 0.0
+        assert row.c == 3.0
+        assert row.ic == 0.0
         assert row.correctfit == 1.0
 
     def test_full_model_stub_metrics(self):
         rep = sim.run_scenario(tiny_spec(methods=("full",), reps=5))
         row = rep.rows[0]
         assert row.mrme == pytest.approx(1.0)
-        assert row.ic_avg == pytest.approx(9.0)
+        assert row.ic == pytest.approx(9.0)
         assert row.overfit == 1.0
 
     def test_classification_partitions(self):

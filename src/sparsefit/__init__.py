@@ -11,7 +11,6 @@ from .exceptions import (
     DataError,
     FamilyMismatch,
     NonConvergence,
-    SingularDesign,
     SingularSystem,
     SparsefitError,
     TooManyPredictors,
@@ -37,7 +36,6 @@ __all__ = [
     "PenaltySpec",
     "ScenarioSpec",
     "SimulationReport",
-    "SingularDesign",
     "SingularSystem",
     "SparsefitError",
     "TooManyPredictors",

@@ -89,7 +89,7 @@ def _fit_json(fit, family, names, pen=None):
         "converged": fit.converged,
         "feature_names": names,
     }
-    return jsonio.dumps(doc, indent=2) + "\n"
+    return jsonio.dumps(doc) + "\n"
 
 
 @main.command()
@@ -115,6 +115,8 @@ def fit(data, response, family, method, penalty_str, lam, cv, criterion, k,
         raise click.UsageError("--eps0 must be positive")
     if tau0 is not None and not tau0 > 0:
         raise click.UsageError("--tau0 must be positive")
+    if lam is not None and not lam >= 0:  # also rejects nan
+        raise click.UsageError("--lambda must be nonnegative")
     dataset, names = _load(data, response, family, intercept)
     if method == "subset":
         try:
@@ -126,6 +128,8 @@ def fit(data, response, family, method, penalty_str, lam, cv, criterion, k,
     pen = _parse_penalty_flag(penalty_str)
     if cv and lam is not None:
         raise click.UsageError("--lambda and --cv are mutually exclusive")
+    if cv and folds > dataset.n:
+        raise click.UsageError(f"--folds {folds} exceeds the {dataset.n} data rows")
     name = method.replace("-", "_")
     opts = dict(k=k, eps0=eps0, tau0=tau0)
     if lam is not None:
@@ -192,6 +196,8 @@ def cv(data, response, family, method, penalty_str, folds, n_lambda, min_ratio,
     if not 0.0 < min_ratio < 1.0:
         raise click.UsageError("--min-ratio must lie in (0, 1)")
     dataset, _ = _load(data, response, family, intercept)
+    if folds > dataset.n:  # the bound simulate applies to cv_folds
+        raise click.UsageError(f"--folds {folds} exceeds the {dataset.n} data rows")
     pen = _parse_penalty_flag(penalty_str)
     try:
         lam_star, curve = methods.select_lambda(method.replace("-", "_"), dataset, pen, None,
@@ -289,7 +295,7 @@ def simulate(config_path, scenario, reps, seed, threads, out):
     doc = {name: rep.to_dict() for name, rep in reports.items()}
     if out:
         with open(out, "w") as fh:
-            fh.write(jsonio.dumps(doc, indent=2) + "\n")
+            fh.write(jsonio.dumps(doc) + "\n")
 
 
 if __name__ == "__main__":

@@ -13,10 +13,6 @@ class FamilyMismatch(SparsefitError):
     """A penalty or likelihood family was used where it is not admitted."""
 
 
-class SingularDesign(SparsefitError):
-    """The Newton system is numerically singular and the ridge fallback is disabled."""
-
-
 class SingularSystem(SparsefitError):
     """A ridge-regularized inner system could not be solved."""
 

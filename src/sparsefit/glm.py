@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DataError, NonConvergence, RidgeFallbackWarning, SingularDesign
+from .exceptions import DataError, NonConvergence, RidgeFallbackWarning
 
 FAMILIES = ("gaussian", "logistic", "poisson")
 
@@ -156,16 +156,14 @@ def neg_hessian(d: Dataset, beta) -> np.ndarray:
     return M.T @ (w[:, None] * M)
 
 
-def _solve_newton_system(H, g, ridge_fallback):
-    """Solve H x = g, optionally stabilizing a singular H with a small ridge."""
+def _solve_newton_system(H, g):
+    """Solve H x = g, stabilizing a singular H with a small ridge."""
     try:
         x = np.linalg.solve(H, g)
         if np.all(np.isfinite(x)):
             return x
     except np.linalg.LinAlgError:
         pass
-    if not ridge_fallback:
-        raise SingularDesign("X^T D X is numerically singular")
     warnings.warn(
         "singular Newton system; adding a small ridge", RidgeFallbackWarning, stacklevel=3
     )
@@ -180,7 +178,7 @@ def _stack_eta(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.matmul(X, beta[:, :, None])[:, :, 0]
 
 
-def _newton_mle(X: np.ndarray, y: np.ndarray, family: str, ridge_fallback=True):
+def _newton_mle(X: np.ndarray, y: np.ndarray, family: str):
     """Damped Newton-Raphson MLEs for a stack of model matrices, in lockstep.
 
     ``X`` is (m, n, k): m logistic or Poisson model matrices over the shared
@@ -223,7 +221,7 @@ def _newton_mle(X: np.ndarray, y: np.ndarray, family: str, ridge_fallback=True):
             step = np.empty_like(g)
             bad = np.ones(len(live), dtype=bool)
         for i in np.flatnonzero(bad):
-            step[i] = _solve_newton_system(H[i], g[i], ridge_fallback)
+            step[i] = _solve_newton_system(H[i], g[i])
         t = np.ones(len(live))
         cand = beta + t[:, None] * step
         eta_new = _stack_eta(X, cand)
@@ -244,22 +242,20 @@ def _newton_mle(X: np.ndarray, y: np.ndarray, family: str, ridge_fallback=True):
     raise NonConvergence(f"MLE did not converge in {_MLE_MAX_ITER} iterations")
 
 
-def fit_mle(d: Dataset, ridge_fallback: bool = True) -> np.ndarray:
+def fit_mle(d: Dataset) -> np.ndarray:
     """Unpenalized maximum likelihood estimate (the initial estimator).
 
     Gaussian is solved in a single least-squares solve; logistic and Poisson
     use damped Newton-Raphson until the gradient max-norm drops below 1e-10.
-    Raises :class:`SingularDesign` when the Newton system is singular and the
-    ridge fallback is disabled, :class:`NonConvergence` after 100 iterations.
+    A singular system gets a small ridge and a :class:`RidgeFallbackWarning`;
+    raises :class:`NonConvergence` after 100 iterations.
     """
     M, y = d.model_matrix, d.response
     if d.family != "gaussian":
-        beta, _ = _newton_mle(M[None], y, d.family, ridge_fallback)
+        beta, _ = _newton_mle(M[None], y, d.family)
         return beta[0]
     beta, _, rank, _ = np.linalg.lstsq(M, y, rcond=None)
     if rank < M.shape[1]:
-        if not ridge_fallback:
-            raise SingularDesign("design is rank deficient")
         warnings.warn(
             "rank-deficient design; ridge-stabilized least squares",
             RidgeFallbackWarning,

@@ -2,7 +2,8 @@
 
 Floats are written with 17 significant digits, which is enough to
 reconstruct any IEEE double exactly; non-finite values use the
-``Infinity`` / ``NaN`` spellings that ``json.loads`` accepts.
+``Infinity`` / ``NaN`` spellings that ``json.loads`` accepts.  Nonempty
+containers put one member per line, indented by two spaces per level.
 """
 
 import json
@@ -18,11 +19,9 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps(obj, indent: int = 0, _level: int = 0) -> str:
-    pad = " " * (indent * (_level + 1)) if indent else ""
-    end_pad = " " * (indent * _level) if indent else ""
-    sep = ",\n" if indent else ", "
-    nl = "\n" if indent else ""
+def dumps(obj, _level: int = 0) -> str:
+    pad = "  " * (_level + 1)
+    end_pad = "  " * _level
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -37,15 +36,15 @@ def dumps(obj, indent: int = 0, _level: int = 0) -> str:
         if not obj:
             return "{}"
         items = (
-            f"{pad}{json.dumps(str(k))}: {dumps(v, indent, _level + 1)}" for k, v in obj.items()
+            f"{pad}{json.dumps(str(k))}: {dumps(v, _level + 1)}" for k, v in obj.items()
         )
-        return "{" + nl + sep.join(items) + nl + end_pad + "}"
+        return "{\n" + ",\n".join(items) + "\n" + end_pad + "}"
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
-        items = (f"{pad}{dumps(v, indent, _level + 1)}" for v in obj)
-        return "[" + nl + sep.join(items) + nl + end_pad + "]"
+        items = (f"{pad}{dumps(v, _level + 1)}" for v in obj)
+        return "[\n" + ",\n".join(items) + "\n" + end_pad + "]"
     # numpy scalars and arrays
     if hasattr(obj, "tolist"):
-        return dumps(obj.tolist(), indent, _level)
+        return dumps(obj.tolist(), _level)
     raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -27,8 +27,9 @@ WEIGHT_CAP = 1e12
 #: curvature floor for working responses that divide by sqrt(D)
 _CURV_FLOOR = 1e-8
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100
+#: convergence tolerance of every LLA solve, and the full-LLA and inner budgets
+TOL = 1e-8
+MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,6 @@ def _level_weights(u, lam):
 
 def _column_projector(X):
     """Orthonormal basis of span(X) via SVD; warns when rank deficient."""
-    if X.shape[1] == 0:
-        return np.zeros((X.shape[0], 0))
     U, s, _ = np.linalg.svd(X, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         rank = 0
@@ -125,7 +124,7 @@ def _scad_split(d: glm.Dataset, b0, p: PenaltySpec):
     return u_set, v_set, scales
 
 
-def _scad_one_step(d: glm.Dataset, b0, p: PenaltySpec, tol):
+def _scad_one_step(d: glm.Dataset, b0, p: PenaltySpec):
     """SCAD one step on the n-row working data: scale the V columns by
     lambda / p'_lam(|b0_j|), project the U block out of the response and the
     V columns, solve the lasso on V at level n * lambda, and back-solve U by
@@ -141,10 +140,9 @@ def _scad_one_step(d: glm.Dataset, b0, p: PenaltySpec, tol):
     prob = wlasso.WlassoProblem(
         Xv - Q @ (Q.T @ Xv), ystar - Q @ (Q.T @ ystar), np.full(len(v_set), d.n * p.lam)
     )
-    beta_v = wlasso.solve(prob, tol=tol).beta
+    beta_v = wlasso.solve(prob, tol=TOL).beta
     beta = np.zeros(d.n_coef)
-    if u_set:
-        beta[u_set] = np.linalg.lstsq(Xstar[:, u_set], ystar - Xv @ beta_v, rcond=None)[0]
+    beta[u_set] = np.linalg.lstsq(Xstar[:, u_set], ystar - Xv @ beta_v, rcond=None)[0]
     beta[v_set] = beta_v * scales[v_set]
     return beta
 
@@ -191,7 +189,7 @@ def _pen_loglik(d, beta, w):
     return glm.loglik(d, beta) - pen
 
 
-def _argmax_penalized_loglik(d, w, start, tol, max_inner=100):
+def _maximize_penalized_loglik(d, w, start, tol):
     """Maximize loglik(beta) - sum w_j |beta_j| by proximal Newton steps.
 
     Gaussian likelihoods are quadratic, so a single weighted-lasso solve is
@@ -202,7 +200,7 @@ def _argmax_penalized_loglik(d, w, start, tol, max_inner=100):
         return _lla_step(d, w, start, tol)
     beta = np.where(np.isinf(w), 0.0, np.asarray(start, dtype=float))
     fb = _pen_loglik(d, beta, w)
-    for _ in range(max_inner):
+    for _ in range(MAX_ITER):
         cand = _lla_step(d, w, beta, tol)
         step = cand - beta
         delta = float(np.max(np.abs(step))) if step.size else 0.0
@@ -225,8 +223,7 @@ def _argmax_penalized_loglik(d, w, start, tol, max_inner=100):
     raise NonConvergence("inner penalized-likelihood maximization did not converge")
 
 
-def k_step(d: glm.Dataset, p: PenaltySpec, b0=None, k: int = 1,
-           tol: float = DEFAULT_TOL) -> FitResult:
+def k_step(d: glm.Dataset, p: PenaltySpec, b0=None, k: int = 1) -> FitResult:
     """k iterations of the one-step construction.
 
     The first step is the one-step estimator's working problem; later steps
@@ -239,35 +236,34 @@ def k_step(d: glm.Dataset, p: PenaltySpec, b0=None, k: int = 1,
         b0 = glm.fit_mle(d)
     b0 = np.asarray(b0, dtype=float)
     if p.family == "scad":
-        beta = _scad_one_step(d, b0, p, tol)
+        beta = _scad_one_step(d, b0, p)
     else:
         prob, scales = _separable_problem(d, b0, p)
         prob = replace(prob, weights=_level_weights(prob.weights, p.lam))
-        beta = wlasso.solve(prob, tol=tol).beta * scales
+        beta = wlasso.solve(prob, tol=TOL).beta * scales
     trace = [penalized_objective(d, b0, p), penalized_objective(d, beta, p)]
     for _ in range(k - 1):
-        beta = _lla_step(d, _lla_weights(d, p, beta), beta, tol)
+        beta = _lla_step(d, _lla_weights(d, p, beta), beta, TOL)
         trace.append(penalized_objective(d, beta, p))
     method = "one_step" if k == 1 else f"k_step({k})"
     return _result_from_model_vector(d, beta, p.lam, method, trace, k)
 
 
-def one_step(d: glm.Dataset, p: PenaltySpec, b0=None, tol: float = DEFAULT_TOL) -> FitResult:
+def one_step(d: glm.Dataset, p: PenaltySpec, b0=None) -> FitResult:
     """One-step LLA estimator started from ``b0`` (default: the MLE).
 
     Builds the working problem for the penalty's route, solves the weighted-L1
     problem at penalty level ``n * lam``, and maps the solution back; zeros
     are exact.  This is :func:`k_step` with ``k = 1``.
     """
-    return k_step(d, p, b0, k=1, tol=tol)
+    return k_step(d, p, b0, k=1)
 
 
-def full_lla(d: glm.Dataset, p: PenaltySpec, b0=None, tol: float = DEFAULT_TOL,
-             max_iter: int = DEFAULT_MAX_ITER) -> FitResult:
+def full_lla(d: glm.Dataset, p: PenaltySpec, b0=None) -> FitResult:
     """Iterate LLA steps to a fixed point, monitoring the ascent of Q.
 
     Each step maximizes the tangent minorization exactly (inner tolerance
-    tol/10), so the recorded Q trace is nondecreasing.  Only penalties that
+    TOL/10), so the recorded Q trace is nondecreasing.  Only penalties that
     are bounded at zero and have finite derivatives are admitted (scad, l1);
     the logarithm penalty makes Q unbounded and is one-step only.
     """
@@ -277,18 +273,18 @@ def full_lla(d: glm.Dataset, p: PenaltySpec, b0=None, tol: float = DEFAULT_TOL,
         b0 = glm.fit_mle(d)
     beta = np.asarray(b0, dtype=float).copy()
     trace = [penalized_objective(d, beta, p)]
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         w = _lla_weights(d, p, beta)
-        new = _argmax_penalized_loglik(d, w, beta, tol / 10.0)
+        new = _maximize_penalized_loglik(d, w, beta, TOL / 10.0)
         trace.append(penalized_objective(d, new, p))
         delta = float(np.max(np.abs(new - beta)))
         beta = new
-        if delta <= tol:
+        if delta <= TOL:
             return _result_from_model_vector(d, beta, p.lam, "full_lla", trace, it)
     partial = _result_from_model_vector(
-        d, beta, p.lam, "full_lla", trace, max_iter, converged=False
+        d, beta, p.lam, "full_lla", trace, MAX_ITER, converged=False
     )
-    raise NonConvergence(f"LLA did not converge in {max_iter} iterations", result=partial)
+    raise NonConvergence(f"LLA did not converge in {MAX_ITER} iterations", result=partial)
 
 
 def _psolver(A):
@@ -337,8 +333,7 @@ def one_step_lambda_max(d: glm.Dataset, p: PenaltySpec, b0=None) -> float:
     return max(lam_corr, lam_beta) * (1.0 + 1e-10)
 
 
-def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None,
-                  tol: float = DEFAULT_TOL):
+def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None):
     """One-step fits along a descending lambda grid, warm-started.
 
     Separable penalties share a single working problem across the grid; the
@@ -366,7 +361,7 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None,
         for lam in grid:
             try:
                 warm, _, _ = wlasso.solve_gram(G, bvec, _level_weights(prob.weights, lam),
-                                               tol=tol, x0=warm)
+                                               tol=TOL, x0=warm)
                 out.append(_result_from_model_vector(d, warm * scales, lam, "one_step", (), 1))
             except (NonConvergence, np.linalg.LinAlgError):
                 out.append(None)
@@ -376,33 +371,24 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None,
     bvec = H @ b0
     out = []
     prev_beta = None
+    # An empty U or V block takes the same lines: a 0 x 0 solve and an empty
+    # product subtract 0.0, which leaves every float as it is.  s > 0 on V.
     for lam in grid:
         try:
             u_idx, v_idx, s = _scad_split(d, b0, PenaltySpec("scad", float(lam), a=p.a))
             Gs = (s[:, None] * H) * s[None, :]
             bs = s * bvec
-            psolve = _psolver(Gs[np.ix_(u_idx, u_idx)])
-            if v_idx:
-                Gvu = Gs[np.ix_(v_idx, u_idx)]
-                if u_idx:
-                    K = psolve(np.column_stack([Gvu.T, bs[u_idx]]))
-                    Gschur = Gs[np.ix_(v_idx, v_idx)] - Gvu @ K[:, :-1]
-                    bschur = bs[v_idx] - Gvu @ K[:, -1]
-                else:
-                    Gschur = Gs[np.ix_(v_idx, v_idx)]
-                    bschur = bs[v_idx]
-                warm = None
-                if prev_beta is not None:
-                    warm = np.array([prev_beta[j] / s[j] if s[j] != 0 else 0.0 for j in v_idx])
-                beta_v, _, _ = wlasso.solve_gram(
-                    Gschur, bschur, np.full(len(v_idx), n * lam), tol=tol, x0=warm
-                )
-            else:
-                beta_v = np.zeros(0)
+            Gu, Gv = Gs.take(u_idx, 0), Gs.take(v_idx, 0)  # take: a cheaper np.ix_
+            psolve = _psolver(Gu.take(u_idx, 1))
+            Gvu = Gv.take(u_idx, 1)
+            K = psolve(np.column_stack([Gvu.T, bs[u_idx]]))
+            warm = None if prev_beta is None else prev_beta[v_idx] / s[v_idx]
+            beta_v, _, _ = wlasso.solve_gram(
+                Gv.take(v_idx, 1) - Gvu @ K[:, :-1], bs[v_idx] - Gvu @ K[:, -1],
+                np.full(len(v_idx), n * lam), tol=TOL, x0=warm
+            )
             beta = np.zeros(d.n_coef)
-            if u_idx:
-                rhs = bs[u_idx] - (Gs[np.ix_(u_idx, v_idx)] @ beta_v if v_idx else 0.0)
-                beta[u_idx] = psolve(rhs)
+            beta[u_idx] = psolve(bs[u_idx] - Gu.take(v_idx, 1) @ beta_v)
             beta[v_idx] = beta_v * s[v_idx]
             prev_beta = beta
             out.append(_result_from_model_vector(d, beta, lam, "one_step", (), 1))

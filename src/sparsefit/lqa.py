@@ -28,8 +28,9 @@ from .penalty import PenaltySpec
 
 DEFAULT_TOL = 1e-8
 # the quadratic surrogate contracts slowly for coordinates drifting to zero,
-# so the outer budget is larger than the LLA default
-DEFAULT_MAX_ITER = 1000
+# so the outer budget is larger than the LLA one; the inner budget is not
+MAX_ITER = 1000
+MAX_INNER = 100
 
 #: defaults relative to the largest initial coefficient magnitude
 EPS0_SCALE = 1e-8
@@ -74,7 +75,7 @@ def perturbed_penalty_value(p: PenaltySpec, t: float, tau0: float) -> float:
     return out
 
 
-def _newton_argmax_quadratic(d, c2, idx, start, ll, tol, block=None, max_inner=100):
+def _newton_argmax_quadratic(d, c2, idx, start, ll, tol, block=None):
     """Maximize loglik(beta) - sum_i c2_i beta_{idx_i}^2 over the slots ``idx``.
 
     Coordinates outside ``idx`` are held at their values in ``start`` (the
@@ -101,7 +102,7 @@ def _newton_argmax_quadratic(d, c2, idx, start, ll, tol, block=None, max_inner=1
     H = None if block is None else block + ridge
     b_act = beta[idx]
     obj = ll - float((c2 * b_act ** 2).sum())
-    for _ in range(max_inner):
+    for _ in range(MAX_INNER):
         g = (M.T @ (y - glm.mean_response(d, eta)))[idx] - c2x2 * b_act
         if block is None:
             H = (M.T @ (glm._curvature(family, eta)[:, None] * M))[np.ix_(idx, idx)] + ridge
@@ -144,7 +145,7 @@ def _start(d, b0):
     return beta, float(np.max(np.abs(beta[list(_predictor_indices(d))])))
 
 
-def _ridge_lqa(d, p, beta, tau0, eps0, pen_value, method, tol, max_iter):
+def _ridge_lqa(d, p, beta, tau0, eps0, pen_value, method, tol):
     """The LQA iteration from ``beta``, ridge coefficients perturbed by ``tau0``.
 
     A coordinate whose magnitude drops below ``eps0`` is zeroed and removed
@@ -165,7 +166,7 @@ def _ridge_lqa(d, p, beta, tau0, eps0, pen_value, method, tol, max_iter):
     vals = beta.tolist()
     trace = [objective(ll, vals)]
     idx = block = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         dead = [j for j in alive if abs(vals[j]) < eps0]
         if dead:
             beta[dead] = 0.0
@@ -185,13 +186,13 @@ def _ridge_lqa(d, p, beta, tau0, eps0, pen_value, method, tol, max_iter):
         trace.append(objective(ll, vals))
         if delta <= tol and not dead:
             return beta, trace, it
-    partial = _result_from_model_vector(d, beta, p.lam, method, trace, max_iter, converged=False)
+    partial = _result_from_model_vector(d, beta, p.lam, method, trace, MAX_ITER, converged=False)
     label = method.replace("_", " ").replace("lqa", "LQA")
-    raise NonConvergence(f"{label} did not converge in {max_iter} iterations", result=partial)
+    raise NonConvergence(f"{label} did not converge in {MAX_ITER} iterations", result=partial)
 
 
 def lqa_fit(d: glm.Dataset, p: PenaltySpec, b0=None, eps0: float | None = None,
-            tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> FitResult:
+            tol: float = DEFAULT_TOL) -> FitResult:
     """LQA estimator with the deletion rule.
 
     Any coordinate whose current magnitude drops below ``eps0`` is set to an
@@ -203,13 +204,12 @@ def lqa_fit(d: glm.Dataset, p: PenaltySpec, b0=None, eps0: float | None = None,
         eps0 = EPS0_SCALE * top if top > 0 else EPS0_SCALE
     if not eps0 > 0:
         raise ValueError("eps0 must be positive")
-    beta, trace, it = _ridge_lqa(d, p, beta, 0.0, eps0, lambda t: penalty.value(p, t), "lqa",
-                                 tol, max_iter)
+    beta, trace, it = _ridge_lqa(d, p, beta, 0.0, eps0, lambda t: penalty.value(p, t), "lqa", tol)
     return _result_from_model_vector(d, beta, p.lam, "lqa", trace, it)
 
 
 def perturbed_lqa_fit(d: glm.Dataset, p: PenaltySpec, b0=None, tau0: float | None = None,
-                      tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> FitResult:
+                      tol: float = DEFAULT_TOL) -> FitResult:
     """Perturbed LQA: denominators bounded away from zero, no deletion.
 
     The recorded objective trace is the perturbed objective (log-likelihood
@@ -225,7 +225,7 @@ def perturbed_lqa_fit(d: glm.Dataset, p: PenaltySpec, b0=None, tau0: float | Non
         raise ValueError("tau0 must be positive")
     beta, trace, it = _ridge_lqa(d, p, beta, tau0, 0.0,
                                  lambda t: perturbed_penalty_value(p, t, tau0),
-                                 "perturbed_lqa", tol, max_iter)
+                                 "perturbed_lqa", tol)
     coef = beta[int(d.intercept):]  # a view: the cutoff zeroes predictors in place
     coef[np.abs(coef) <= SUPPORT_CUTOFF_SCALE * np.max(np.abs(coef))] = 0.0
     return _result_from_model_vector(d, beta, p.lam, "perturbed_lqa", trace, it)

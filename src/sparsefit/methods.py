@@ -5,7 +5,6 @@ at one lambda, :func:`select_lambda` tunes lambda with that method's fits,
 and :func:`tune_and_fit` does both.
 """
 
-import math
 from dataclasses import replace
 
 from . import glm, lla, lqa, tuning
@@ -73,17 +72,16 @@ def tune_and_fit(method, d, proto, b0=None, n_lambda=tuning.DEFAULT_N_LAMBDA,
     the chosen lambda from ``b0`` (default: the MLE of ``d``).
 
     When that refit raises a solver error, the other grid points with a
-    finite score are refit in the selector's order (lowest score first, ties
-    to the larger lambda); the first error is raised only when every refit
-    fails.
+    finite score are refit in the selector's order
+    (:func:`tuning.preferred_lambdas`); the first error is raised only when
+    every refit fails.
     """
     if b0 is None:
         b0 = glm.fit_mle(d)
-    lam_star, curve = select_lambda(method, d, proto, b0, n_lambda, min_ratio, selector,
-                                    folds, seed, **opts)
-    ranked = sorted((pt for pt in curve if pt[1] < math.inf), key=lambda pt: (pt[1], -pt[0]))
+    _, curve = select_lambda(method, d, proto, b0, n_lambda, min_ratio, selector, folds, seed,
+                             **opts)
     errors = []
-    for lam in dict.fromkeys([lam_star] + [lam for lam, _ in ranked]):
+    for lam in tuning.preferred_lambdas(curve):
         try:
             return fit(method, d, replace(proto, lam=lam), b0, **opts)
         except tuning.SOLVER_ERRORS as exc:

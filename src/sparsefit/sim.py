@@ -16,12 +16,12 @@ matter how replications are scheduled.
 
 import concurrent.futures
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import glm, jsonio, methods, subset, tuning
-from .penalty import PenaltySpec, penalty_from_params
+from .penalty import SCAD_DEFAULT_A, PenaltySpec, penalty_from_params
 
 #: the standard coefficient vectors, zero-padded to 12 coordinates
 BETA_MAIN = (3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -46,9 +46,6 @@ class MethodSpec:
     criterion: str | None = None
     label: str = ""
 
-    def penalty(self, lam: float) -> PenaltySpec:
-        return replace(self.pen, lam=lam)
-
 
 def parse_method(text: str) -> MethodSpec:
     """Parse a method descriptor such as ``one-step:scad`` or ``subset:bic``.
@@ -56,7 +53,9 @@ def parse_method(text: str) -> MethodSpec:
     Grammar: ``oracle``, ``full``, ``subset:aic|bic`` (or bare ``aic``/
     ``bic``), and ``<kind>:<family>[(key=value,...)]`` with kind one of
     one-step/lqa/plqa, family scad/lq/log/l1, and keys those of
-    :func:`penalty.penalty_from_params` without ``lambda``.
+    :func:`penalty.penalty_from_params` without ``lambda``.  Labels name a
+    SCAD ``a`` other than the default, as in ``One-step SCAD(a=3)``, and the
+    ``q`` of lq, as in ``LQA L_0.5``.
     """
     t = text.strip().lower()
     if t == "oracle":
@@ -78,13 +77,15 @@ def parse_method(text: str) -> MethodSpec:
         raise ValueError(f"bad penalty in method {text!r}")
     family = m.group(1)
     pen = penalty_from_params(family, m.group(2), text, lam=1.0)
+    fam_label = {"scad": "SCAD", "log": "LOG", "l1": "L1"}.get(family, f"L_{pen.q:g}")
+    if family == "scad" and pen.a != SCAD_DEFAULT_A:
+        fam_label += f"(a={pen.a:g})"
     if kind == "one_step":
-        fam_label = {"scad": "SCAD", "log": "LOG", "l1": "L1"}.get(family, f"L_{pen.q:g}")
         label = f"One-step {fam_label}"
     elif kind == "lqa":
-        label = "SCAD" if family == "scad" else f"LQA {family.upper()}"
+        label = fam_label if family == "scad" else f"LQA {fam_label}"
     else:
-        label = "P-SCAD" if family == "scad" else f"P-LQA {family.upper()}"
+        label = f"P-{fam_label}" if family == "scad" else f"P-LQA {fam_label}"
     return MethodSpec(kind, pen, None, label)
 
 
@@ -195,7 +196,7 @@ def model_error(family: str, beta_hat, beta_true, sigma=None, test_design=None) 
     bt = np.asarray(beta_true, dtype=float)
     if bh.shape != bt.shape:
         raise ValueError("coefficient vectors must have equal length")
-    if family == "gaussian" or family == "linear":
+    if family == "gaussian":
         diff = bh - bt
         return float(diff @ np.asarray(sigma) @ diff)
     if family == "poisson":
@@ -223,6 +224,7 @@ def _fit_penalized(spec, m, data, b_full, cv_seed):
 
 
 def _run_replication(spec: ScenarioSpec, rep_index: int):
+    """``(ME ratio, C, IC, fit class)`` of each method, in ``spec.methods`` order."""
     data = generate(spec, rep_index)
     sigma = ar_covariance(spec.p, spec.rho)
     beta_true = np.asarray(spec.beta_true)
@@ -234,7 +236,7 @@ def _run_replication(spec: ScenarioSpec, rep_index: int):
     cv_seed = int(np.random.SeedSequence([spec.seed, rep_index, _TAG_CV]).generate_state(1)[0])
     true_set = set(spec.true_support)
     subset_fits = None
-    rows = {}
+    rows = []
     for m in spec.methods:
         if m.kind == "oracle":
             beta_hat = beta_true.copy()
@@ -258,7 +260,7 @@ def _run_replication(spec: ScenarioSpec, rep_index: int):
             cls = "correct"
         else:
             cls = "over"
-        rows[m.label] = (me / me_full, c, ic, cls)
+        rows.append((me / me_full, c, ic, cls))
     return rows
 
 
@@ -302,7 +304,7 @@ class SimulationReport:
 
 
 def report_json(report: SimulationReport) -> str:
-    return jsonio.dumps(report.to_dict(), indent=2) + "\n"
+    return jsonio.dumps(report.to_dict()) + "\n"
 
 
 def format_table(report: SimulationReport) -> str:
@@ -340,15 +342,15 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> SimulationReport:
             results = list(pool.map(_replication_worker, args, chunksize=8))
     else:
         results = [_replication_worker(a) for a in args]
-    ok = [r for r in results if isinstance(r, dict)]
-    messages = tuple(r for r in results if not isinstance(r, dict))
+    ok = [r for r in results if not isinstance(r, str)]
+    messages = tuple(r for r in results if isinstance(r, str))
     failures = len(messages)
     rows = []
-    for m in spec.methods:
-        ratios = np.array([r[m.label][0] for r in ok])
-        cs = np.array([r[m.label][1] for r in ok], dtype=float)
-        ics = np.array([r[m.label][2] for r in ok], dtype=float)
-        cls = [r[m.label][3] for r in ok]
+    for i, m in enumerate(spec.methods):
+        ratios = np.array([r[i][0] for r in ok])
+        cs = np.array([r[i][1] for r in ok], dtype=float)
+        ics = np.array([r[i][2] for r in ok], dtype=float)
+        cls = [r[i][3] for r in ok]
         n_ok = max(len(ok), 1)
         rows.append(
             MethodRow(

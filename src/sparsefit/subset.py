@@ -24,7 +24,7 @@ from . import glm, lla
 from .exceptions import TooManyPredictors
 from .lla import FitResult
 
-DEFAULT_MAX_P = 20
+MAX_P = 20
 
 #: cap on the float64 entries of one stacked array in an enumeration (128 KiB):
 #: (m, k, k) Gram blocks for Gaussian, (m, n, k) model matrices otherwise
@@ -74,7 +74,7 @@ def _lstsq_fits(G, c, yy, n, idx):
     return sub, two_ll
 
 
-def enumerate_subset_fits(d: glm.Dataset, max_p: int = DEFAULT_MAX_P):
+def enumerate_subset_fits(d: glm.Dataset):
     """MLE fit and 2*loglik for every predictor subset.
 
     Returns a list of ``(cols, two_ll, model_beta)`` in (size, lex) order;
@@ -89,11 +89,11 @@ def enumerate_subset_fits(d: glm.Dataset, max_p: int = DEFAULT_MAX_P):
     is instead solved alone by ``np.linalg.lstsq`` (minimum-norm on singular
     blocks).  A logistic or Poisson chunk runs one batched Newton iteration
     (:func:`glm._newton_mle`), whose converged log-likelihoods give
-    ``two_ll``.
+    ``two_ll``.  Raises :class:`TooManyPredictors` when p exceeds ``MAX_P``.
     """
     p = d.p
-    if p > max_p:
-        raise TooManyPredictors(f"p = {p} exceeds the enumeration cap {max_p}")
+    if p > MAX_P:
+        raise TooManyPredictors(f"p = {p} exceeds the enumeration cap {MAX_P}")
     M = d.model_matrix
     y = d.response
     n = d.n
@@ -148,14 +148,13 @@ def select_from_enumeration(fits, criterion: str, n: int):
     return best, best_score, lam_crit
 
 
-def best_subset(d: glm.Dataset, criterion: str = "bic",
-                max_p: int = DEFAULT_MAX_P) -> FitResult:
+def best_subset(d: glm.Dataset, criterion: str = "bic") -> FitResult:
     """Exhaustive best-subset fit under the given criterion.
 
-    Raises :class:`TooManyPredictors` when p exceeds ``max_p``.
+    Raises :class:`TooManyPredictors` when p exceeds ``MAX_P``.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
-    fits = enumerate_subset_fits(d, max_p)
+    fits = enumerate_subset_fits(d)
     (cols, two_ll, beta), score, lam_crit = select_from_enumeration(fits, criterion, d.n)
     return lla._result_from_model_vector(d, beta, lam_crit, "subset", (score,), len(fits))

@@ -60,9 +60,10 @@ def cv_select(d: glm.Dataset, fitter, lambda_grid, k: int = DEFAULT_FOLDS,
     """Pick the loss-minimizing lambda by k-fold cross-validation.
 
     Returns ``(lambda_star, cv_curve)`` where the curve is a list of
-    ``(lambda, mean loss)`` pairs in grid order.  Ties are broken toward the
-    larger lambda (the sparser model).  The whole computation is a pure
-    function of (dataset, grid, k, seed).
+    ``(lambda, mean loss)`` pairs in grid order and lambda_star is the first
+    of :func:`preferred_lambdas` (ties go to the larger lambda, the sparser
+    model).  The whole computation is a pure function of (dataset, grid, k,
+    seed).
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0:
@@ -90,17 +91,15 @@ def cv_select(d: glm.Dataset, fitter, lambda_grid, k: int = DEFAULT_FOLDS,
             else:
                 losses[f, i] = validation_loss(val, _model_vector(d, fit))
     curve = [(float(lam), float(np.mean(losses[:, i]))) for i, lam in enumerate(grid)]
-    return _argmin_toward_larger_lambda(grid, curve), curve
+    return preferred_lambdas(curve)[0], curve
 
 
-def _argmin_toward_larger_lambda(grid, curve):
-    """The lambda of the lowest score, ties going to the larger lambda."""
-    order = np.argsort(-grid)  # scan from the largest lambda down
-    best_i = order[0]
-    for i in order:
-        if curve[i][1] < curve[best_i][1]:
-            best_i = i
-    return curve[best_i][0]
+def preferred_lambdas(curve):
+    """Lambdas of a ``(lambda, score)`` curve, most preferred first: lowest
+    score, ties to the larger lambda, no point scored +inf or NaN; with none
+    left, the largest lambda.  The first is lambda*, the rest refit fallbacks."""
+    ranked = sorted((score, -lam) for lam, score in curve if score < math.inf)
+    return [-neg_lam for _, neg_lam in ranked] or [max(lam for lam, _ in curve)]
 
 
 def _bic_score(d: glm.Dataset, fit) -> float:
@@ -123,9 +122,9 @@ def bic_select(d: glm.Dataset, fitter, lambda_grid):
 
     ``fitter`` follows the :func:`cv_select` contract but is called once,
     with ``d`` itself.  Returns ``(lambda_star, bic_curve)`` where the curve
-    is a list of ``(lambda, score)`` pairs in grid order; a None fit scores
-    +inf, and ties are broken toward the larger lambda.  The result is a pure
-    function of (dataset, grid).
+    is a list of ``(lambda, score)`` pairs in grid order, a None fit scoring
+    +inf, and lambda_star is chosen as :func:`cv_select` chooses it.  The
+    result is a pure function of (dataset, grid).
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0:
@@ -138,4 +137,4 @@ def bic_select(d: glm.Dataset, fitter, lambda_grid):
         (float(lam), math.inf if fit is None else _bic_score(d, fit))
         for lam, fit in zip(grid, fits)
     ]
-    return _argmin_toward_larger_lambda(grid, curve), curve
+    return preferred_lambdas(curve)[0], curve

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from sparsefit import cli, glm, lla, lqa
-from sparsefit.exceptions import NonConvergence, SingularDesign
+from sparsefit.exceptions import NonConvergence, SingularSystem
 from sparsefit.lla import FitResult
 
 from conftest import random_dataset
@@ -139,7 +139,7 @@ class TestFit:
         assert doc["converged"] is False
 
     @pytest.mark.parametrize("exc, code", [(NonConvergence("stalled"), 4),
-                                           (SingularDesign("singular"), 3)])
+                                           (SingularSystem("singular"), 3)])
     def test_tuning_failure_exit_code(self, runner, toy_csv, monkeypatch, exc, code):
         path, _, _ = toy_csv
 
@@ -210,6 +210,37 @@ class TestTuningFlags:
         assert res.exit_code == 2, res.output
         assert flag in res.output
 
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_bad_lambda_is_exit_2(self, runner, toy_csv, value):
+        path, _, _ = toy_csv
+        res = runner.invoke(
+            cli.main,
+            ["fit", "--data", str(path), "--response", "y", "--penalty", "scad:lambda=1",
+             "--lambda", value],
+        )
+        assert res.exit_code == 2, res.output
+        assert "--lambda" in res.output
+
+    @pytest.mark.parametrize("argv", [["fit", "--cv"], ["cv"]], ids=["fit", "cv"])
+    def test_more_folds_than_rows_is_exit_2(self, runner, toy_csv, argv):
+        path, _, _ = toy_csv  # 50 rows
+        res = runner.invoke(
+            cli.main,
+            [*argv, "--folds", "80", "--data", str(path), "--response", "y",
+             "--penalty", "scad:lambda=1"],
+        )
+        assert res.exit_code == 2, res.output
+        assert "--folds 80 exceeds the 50 data rows" in res.output
+
+    def test_one_fold_per_row_runs(self, runner, toy_csv):
+        path, _, _ = toy_csv
+        res = runner.invoke(
+            cli.main,
+            ["cv", "--folds", "50", "--n-lambda", "2", "--data", str(path), "--response", "y",
+             "--penalty", "scad:lambda=1"],
+        )
+        assert res.exit_code == 0, res.output
+
 
 class TestCvRefitFallback:
     """``fit --cv`` refits at the next-best grid point when the refit at the
@@ -266,7 +297,7 @@ class TestSolverErrorExitCodes:
     """``fit``, ``path`` and ``cv`` share one mapping of solver errors."""
 
     @pytest.mark.parametrize("exc, code", [(NonConvergence("stalled"), 4),
-                                           (SingularDesign("singular"), 3)],
+                                           (SingularSystem("singular"), 3)],
                              ids=["nonconvergence", "singular"])
     @pytest.mark.parametrize("command, module, name",
                              [("path", lla, "one_step_path"), ("cv", cli.methods, "select_lambda")],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparsefit import glm
-from sparsefit.exceptions import DataError, RidgeFallbackWarning, SingularDesign
+from sparsefit.exceptions import DataError, RidgeFallbackWarning
 
 from conftest import orthonormal_gaussian, random_dataset
 
@@ -114,12 +114,6 @@ class TestFitMle:
         beta = glm.fit_mle(d)
         bound = 1e-8 * (1.0 + abs(glm.loglik(d, beta)))
         assert np.max(np.abs(glm.score(d, beta))) <= bound
-
-    def test_singular_design_raises_without_fallback(self):
-        X = np.column_stack([np.ones(8), np.ones(8)])
-        d = glm.Dataset(X, np.arange(8.0), "gaussian")
-        with pytest.raises(SingularDesign):
-            glm.fit_mle(d, ridge_fallback=False)
 
     def test_singular_design_warns_with_fallback(self):
         X = np.column_stack([np.ones(8), np.ones(8)])

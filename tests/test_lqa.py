@@ -197,7 +197,7 @@ def _oracle_perturbed_objective(d, beta, p, tau0):
     return glm.loglik(d, beta) - d.n * pen
 
 
-def _oracle_lqa_fit(d, p, b0, tol=lqa.DEFAULT_TOL, max_iter=lqa.DEFAULT_MAX_ITER):
+def _oracle_lqa_fit(d, p, b0, tol=lqa.DEFAULT_TOL, max_iter=lqa.MAX_ITER):
     beta = np.asarray(b0, dtype=float).copy()
     pred = list(_predictor_indices(d))
     top = float(np.max(np.abs(beta[pred])))
@@ -228,7 +228,7 @@ def _oracle_lqa_fit(d, p, b0, tol=lqa.DEFAULT_TOL, max_iter=lqa.DEFAULT_MAX_ITER
     raise NonConvergence(f"LQA did not converge in {max_iter} iterations", result=partial)
 
 
-def _oracle_perturbed_lqa_fit(d, p, b0, tol=lqa.DEFAULT_TOL, max_iter=lqa.DEFAULT_MAX_ITER):
+def _oracle_perturbed_lqa_fit(d, p, b0, tol=lqa.DEFAULT_TOL, max_iter=lqa.MAX_ITER):
     beta = np.asarray(b0, dtype=float).copy()
     pred = list(_predictor_indices(d))
     top = float(np.max(np.abs(beta[pred])))

@@ -159,6 +159,13 @@ class TestParseMethod:
             ("bic", "subset", "BIC"),
             ("oracle", "oracle", "Oracle"),
             ("full", "full", "Full model"),
+            ("one-step:scad(a=3)", "one_step", "One-step SCAD(a=3)"),
+            ("one-step:scad(a=3.7)", "one_step", "One-step SCAD"),
+            ("lqa:scad(a=2.5)", "lqa", "SCAD(a=2.5)"),
+            ("plqa:scad(a=3)", "plqa", "P-SCAD(a=3)"),
+            ("lqa:lq(q=0.5)", "lqa", "LQA L_0.5"),
+            ("plqa:lq(q=0.3)", "plqa", "P-LQA L_0.3"),
+            ("lqa:log", "lqa", "LQA LOG"),
         ],
     )
     def test_labels(self, text, kind, label):
@@ -175,7 +182,7 @@ class TestParseMethod:
 
     def test_penalty_keeps_the_parsed_shape(self):
         m = parse_method("lqa:scad(a=3)")
-        assert m.penalty(2.0) == PenaltySpec("scad", 2.0, a=3.0)
+        assert m.pen == PenaltySpec("scad", 1.0, a=3.0)
 
 
 class TestScenarioSpec:
@@ -240,8 +247,19 @@ class TestRunScenario:
         spec = tiny_spec(methods=("one-step:scad",), reps=6, n=30, seed=11)
         for r in range(spec.replications):
             rows = sim._run_replication(spec, r)
-            _, c, _, cls = rows["One-step SCAD"]
+            _, c, _, cls = rows[0]
             assert (cls == "under") == (c < 3)
+
+    @pytest.mark.parametrize("methods", [
+        ("one-step:scad", "one-step:scad(a=3)"),
+        # both labelled "One-step L_0.5": rows go by position, not by label
+        ("one-step:lq(q=0.5)", "one-step:lq(q=0.5000001)"),
+    ])
+    def test_each_method_keeps_its_own_row(self, methods):
+        both = sim.run_scenario(tiny_spec(methods=methods, reps=3, n=40, seed=4))
+        for m, row in zip(methods, both.rows):
+            alone = sim.run_scenario(tiny_spec(methods=(m,), reps=3, n=40, seed=4))
+            assert row == alone.rows[0]
 
     def test_byte_identical_reports_across_threads(self):
         spec = tiny_spec(methods=("one-step:scad", "bic"), reps=5, n=40, seed=2)

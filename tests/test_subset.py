@@ -161,9 +161,9 @@ def test_intercept_always_included():
 
 
 def test_too_many_predictors():
-    d = random_dataset(29, 30, 5)
+    d = random_dataset(29, 30, subset.MAX_P + 1)
     with pytest.raises(TooManyPredictors):
-        subset.best_subset(d, "bic", max_p=4)
+        subset.best_subset(d, "bic")
 
 
 def test_bad_criterion():

@@ -230,3 +230,19 @@ class TestBicSelect:
         d = random_dataset(0, 10, 2)
         with pytest.raises(ValueError):
             tuning.bic_select(d, zero_fitter, [])
+
+
+class TestPreferredLambdas:
+    @pytest.mark.parametrize("curve, expected", [
+        # lowest score first, its tie going to the larger lambda; +inf left out
+        ([(4.0, 1.0), (2.0, 0.5), (1.0, 0.5), (0.5, math.inf), (0.25, 0.7)],
+         [2.0, 1.0, 0.25, 4.0]),
+        # the order of the curve does not matter, only lambda and score
+        ([(0.25, 0.7), (1.0, 0.5), (4.0, 1.0), (2.0, 0.5)], [2.0, 1.0, 0.25, 4.0]),
+        # a NaN score is never preferred, not even at the largest lambda
+        ([(4.0, math.nan), (2.0, 3.0), (1.0, 2.0)], [1.0, 2.0]),
+        # nothing finite: the largest lambda alone
+        ([(1.0, math.inf), (3.0, math.inf), (2.0, math.nan)], [3.0]),
+    ])
+    def test_order(self, curve, expected):
+        assert tuning.preferred_lambdas(curve) == expected

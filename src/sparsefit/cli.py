@@ -115,8 +115,8 @@ def fit(data, response, family, method, penalty_str, lam, cv, criterion, k,
         raise click.UsageError("--eps0 must be positive")
     if tau0 is not None and not tau0 > 0:
         raise click.UsageError("--tau0 must be positive")
-    if lam is not None and not lam >= 0:  # also rejects nan
-        raise click.UsageError("--lambda must be nonnegative")
+    if lam is not None and not 0 <= lam < np.inf:  # also rejects nan
+        raise click.UsageError("--lambda must be finite and nonnegative")
     dataset, names = _load(data, response, family, intercept)
     if method == "subset":
         try:

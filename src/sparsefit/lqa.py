@@ -1,7 +1,7 @@
 """Baseline estimators: local quadratic approximation and its perturbed form.
 
 The LQA iteration replaces each penalty term by a quadratic through the
-current iterate, giving ridge-type Newton systems.  Coordinates that fall
+current iterate, giving ridge-type systems.  Coordinates that fall
 below a deletion cutoff eps0 are zeroed and removed for good (the backward
 deletion drawback); the perturbed variant bounds the quadratic denominator
 away from zero instead and extracts a support with a single hard-zero cutoff
@@ -9,12 +9,13 @@ at convergence.  One driver runs both: plain LQA has tau0 = 0 and the
 deletion cutoff eps0, the perturbed form tau0 > 0 and a cutoff of 0, which
 never deletes.
 
-The ridge Newton kernel shares one linear predictor per iterate between
-the score, the Hessian and the line-search log-likelihood; the Gaussian
-Hessian, which does not depend on the iterate, is formed once per fit.  The
-objective traces reuse the line search's log-likelihood and sum the penalty
-over Python floats.  The floats are those of separate ``glm`` calls at each
-iterate, so fits and traces are bit-identical to that plain form.
+For Gaussian data the ridge surrogate is exactly quadratic, so each outer
+step is one linear solve on the active block of X^T X and X^T y, both formed
+once per fit.  For logistic and Poisson data each outer step maximizes the
+surrogate by damped Newton; the kernel shares one linear predictor per
+iterate between the score, the Hessian and the line-search log-likelihood,
+and its floats are those of separate ``glm`` calls at each iterate.  The
+objective traces sum the penalty over Python floats.
 """
 
 import math
@@ -75,20 +76,19 @@ def perturbed_penalty_value(p: PenaltySpec, t: float, tau0: float) -> float:
     return out
 
 
-def _newton_argmax_quadratic(d, c2, idx, start, ll, tol, block=None):
+def _newton_argmax_quadratic(d, c2, idx, start, ll, tol):
     """Maximize loglik(beta) - sum_i c2_i beta_{idx_i}^2 over the slots ``idx``.
 
-    Coordinates outside ``idx`` are held at their values in ``start`` (the
-    intercept slot is always in ``idx``); ``ll`` is loglik(start).  Damped
-    Newton; raises SingularSystem when the ridge system cannot be solved.
-    Returns ``(beta, loglik(beta))``.
+    Serves the logistic and Poisson families; the Gaussian surrogate is
+    maximized in closed form by :func:`_ridge_lqa`.  Coordinates outside
+    ``idx`` are held at their values in ``start`` (the intercept slot is
+    always in ``idx``); ``ll`` is loglik(start).  Damped Newton; raises
+    SingularSystem when the ridge system cannot be solved.  Returns
+    ``(beta, loglik(beta))``.
 
     Each iterate has one linear predictor eta = M @ beta: the start's is
     computed once, every later one comes from the line search that accepted
     it, and the score, the Hessian and the next line search all read it.
-    ``block`` is the active block of a negative Hessian that does not depend
-    on beta (the Gaussian X^T X of :func:`glm.neg_hessian`, formed once per
-    fit); without it the block is gathered from X^T D X at each iterate.
     Products are taken on the full model matrix and then gathered, never on
     a gathered copy, since a matrix of another shape may be summed in
     another order; so every float equals what separate ``glm.loglik``,
@@ -99,19 +99,12 @@ def _newton_argmax_quadratic(d, c2, idx, start, ll, tol, block=None):
     eta = M @ beta
     c2x2 = 2.0 * c2
     ridge = 2.0 * np.diag(c2)
-    H = None if block is None else block + ridge
     b_act = beta[idx]
     obj = ll - float((c2 * b_act ** 2).sum())
     for _ in range(MAX_INNER):
         g = (M.T @ (y - glm.mean_response(d, eta)))[idx] - c2x2 * b_act
-        if block is None:
-            H = (M.T @ (glm._curvature(family, eta)[:, None] * M))[np.ix_(idx, idx)] + ridge
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            raise SingularSystem("ridge Newton system is singular")
-        if not np.isfinite(step).all():
-            raise SingularSystem("ridge Newton step is not finite")
+        H = (M.T @ (glm._curvature(family, eta)[:, None] * M))[np.ix_(idx, idx)] + ridge
+        step = _solve_ridge(H, g)
         t = 1.0
         for _ in range(40):
             cand = beta.copy()
@@ -132,9 +125,15 @@ def _newton_argmax_quadratic(d, c2, idx, start, ll, tol, block=None):
     raise NonConvergence("inner ridge maximization did not converge")
 
 
-def _gaussian_hessian(d, beta):
-    """X^T X once per fit for Gaussian data (its curvature is all ones), else None."""
-    return glm.neg_hessian(d, beta) if d.family == "gaussian" else None
+def _solve_ridge(H, g):
+    """H^{-1} g for a ridge system; raises SingularSystem when it has no finite solution."""
+    try:
+        x = np.linalg.solve(H, g)
+    except np.linalg.LinAlgError:
+        raise SingularSystem("ridge Newton system is singular")
+    if not np.isfinite(x).all():
+        raise SingularSystem("ridge Newton step is not finite")
+    return x
 
 
 def _start(d, b0):
@@ -154,7 +153,10 @@ def _ridge_lqa(d, p, beta, tau0, eps0, pen_value, method, tol):
     Returns ``(beta, trace, iterations)`` at convergence; otherwise raises
     NonConvergence carrying the partial fit, labelled ``method``.
     """
-    hess = _gaussian_hessian(d, beta)
+    gram = None
+    if d.family == "gaussian":  # an exactly quadratic surrogate: one solve per step
+        zero = np.zeros(d.n_coef)
+        gram, mty = glm.neg_hessian(d, zero), glm.score(d, zero)
     n, first = d.n, int(d.intercept)
     lead = [0.0] * first  # the unpenalized intercept's ridge coefficient
 
@@ -174,12 +176,14 @@ def _ridge_lqa(d, p, beta, tau0, eps0, pen_value, method, tol):
             alive = [j for j in alive if j not in dead]
         if dead or idx is None:
             idx = np.asarray([0] * first + alive, dtype=int)
-            block = None if hess is None else hess[np.ix_(idx, idx)]
+            block = None if gram is None else gram[np.ix_(idx, idx)]
         c2 = np.array(lead + [n * penalty.lqa_coefficient(p, abs(vals[j]), tau0) for j in alive])
-        if idx.size:
-            new, ll = _newton_argmax_quadratic(d, c2, idx, beta, ll, tol / 10.0, block)
-        else:
-            new = beta.copy()
+        new = beta.copy()
+        if idx.size and gram is not None:
+            new[idx] = _solve_ridge(block + 2.0 * np.diag(c2), mty[idx])
+            ll = glm.loglik(d, new)
+        elif idx.size:
+            new, ll = _newton_argmax_quadratic(d, c2, idx, beta, ll, tol / 10.0)
         delta = float(abs(new - beta).max())
         beta = new
         vals = beta.tolist()

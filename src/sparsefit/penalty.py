@@ -32,8 +32,8 @@ class PenaltySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown penalty family {self.family!r}")
-        if not self.lam >= 0.0:
-            raise ValueError("lambda must be nonnegative")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("lambda must be finite and nonnegative")
         if self.family == "scad" and not self.a > 2.0:
             raise ValueError("SCAD requires a > 2")
         if self.family == "lq" and not 0.0 < self.q < 1.0:

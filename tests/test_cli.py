@@ -210,7 +210,7 @@ class TestTuningFlags:
         assert res.exit_code == 2, res.output
         assert flag in res.output
 
-    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_bad_lambda_is_exit_2(self, runner, toy_csv, value):
         path, _, _ = toy_csv
         res = runner.invoke(
@@ -220,6 +220,14 @@ class TestTuningFlags:
         )
         assert res.exit_code == 2, res.output
         assert "--lambda" in res.output
+
+    @pytest.mark.parametrize("command", ["fit", "path", "cv", "threshold"])
+    def test_infinite_penalty_lambda_is_exit_2(self, runner, toy_csv, command):
+        path, _, _ = toy_csv
+        data = [] if command == "threshold" else ["--data", str(path), "--response", "y"]
+        res = runner.invoke(cli.main, [command, *data, "--penalty", "scad:lambda=inf"])
+        assert res.exit_code == 2, res.output
+        assert "lambda must be finite" in res.output
 
     @pytest.mark.parametrize("argv", [["fit", "--cv"], ["cv"]], ids=["fit", "cv"])
     def test_more_folds_than_rows_is_exit_2(self, runner, toy_csv, argv):

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -152,12 +154,24 @@ def test_cli_import_leaves_scipy_special_unloaded():
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity oracle: the ridge Newton iteration with separate glm.loglik,
-# glm.score and glm.neg_hessian calls at each iterate and a separately
-# computed objective trace.  The fits share one linear predictor per iterate,
-# form the Gaussian Hessian once and take the trace from the line search;
-# the floats are the same, so every coefficient, trace entry, iteration
-# count, support and exception must be equal.
+# Bit-identity oracle: the LQA outer loop with separate glm calls at each
+# iterate and a separately computed objective trace.  For Gaussian data each
+# step is the exact maximizer of the ridge surrogate, from X^T y = glm.score
+# at zero and X^T X = glm.neg_hessian; for GLMs it is the ridge Newton
+# iteration with separate glm.loglik, glm.score and glm.neg_hessian calls.
+# The fits form the Gram matrix once and share one linear predictor per
+# Newton iterate; the floats are the same, so every coefficient, trace
+# entry, iteration count, support and exception must be equal.
+
+
+def _oracle_solve(H, g):
+    try:
+        step = np.linalg.solve(H, g)
+    except np.linalg.LinAlgError:
+        raise SingularSystem("ridge Newton system is singular")
+    if not np.all(np.isfinite(step)):
+        raise SingularSystem("ridge Newton step is not finite")
+    return step
 
 
 def _oracle_newton(d, coef2, active, start, tol, max_inner=100):
@@ -167,12 +181,7 @@ def _oracle_newton(d, coef2, active, start, tol, max_inner=100):
     for _ in range(max_inner):
         g = glm.score(d, beta)[idx] - 2.0 * coef2[idx] * beta[idx]
         H = glm.neg_hessian(d, beta)[np.ix_(idx, idx)] + 2.0 * np.diag(coef2[idx])
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            raise SingularSystem("ridge Newton system is singular")
-        if not np.all(np.isfinite(step)):
-            raise SingularSystem("ridge Newton step is not finite")
+        step = _oracle_solve(H, g)
         t = 1.0
         for _ in range(40):
             cand = beta.copy()
@@ -190,6 +199,20 @@ def _oracle_newton(d, coef2, active, start, tol, max_inner=100):
     raise NonConvergence("inner ridge maximization did not converge")
 
 
+def _oracle_closed_form(d, coef2, active, start, tol):
+    zero = np.zeros(d.n_coef)
+    idx = np.asarray(active, dtype=int)
+    H = glm.neg_hessian(d, zero)[np.ix_(idx, idx)] + 2.0 * np.diag(coef2[idx])
+    beta = start.copy()
+    beta[idx] = _oracle_solve(H, glm.score(d, zero)[idx])
+    return beta
+
+
+def _oracle_step(d, coef2, active, start, tol):
+    step = _oracle_closed_form if d.family == "gaussian" else _oracle_newton
+    return step(d, coef2, active, start, tol)
+
+
 def _oracle_perturbed_objective(d, beta, p, tau0):
     pen = sum(
         lqa.perturbed_penalty_value(p, abs(beta[j]), tau0) for j in _predictor_indices(d)
@@ -197,7 +220,7 @@ def _oracle_perturbed_objective(d, beta, p, tau0):
     return glm.loglik(d, beta) - d.n * pen
 
 
-def _oracle_lqa_fit(d, p, b0, tol=lqa.DEFAULT_TOL, max_iter=lqa.MAX_ITER):
+def _oracle_lqa_fit(d, p, b0, step=_oracle_step, tol=lqa.DEFAULT_TOL, max_iter=lqa.MAX_ITER):
     beta = np.asarray(b0, dtype=float).copy()
     pred = list(_predictor_indices(d))
     top = float(np.max(np.abs(beta[pred])))
@@ -216,7 +239,7 @@ def _oracle_lqa_fit(d, p, b0, tol=lqa.DEFAULT_TOL, max_iter=lqa.MAX_ITER):
             coef2[j] = d.n * penalty.lqa_coefficient(p, abs(beta[j]), 0.0)
         active = ([0] if d.intercept else []) + sorted(alive)
         if active:
-            new = _oracle_newton(d, coef2, active, beta, tol / 10.0)
+            new = step(d, coef2, active, beta, tol / 10.0)
         else:
             new = beta.copy()
         delta = float(np.max(np.abs(new - beta)))
@@ -228,7 +251,8 @@ def _oracle_lqa_fit(d, p, b0, tol=lqa.DEFAULT_TOL, max_iter=lqa.MAX_ITER):
     raise NonConvergence(f"LQA did not converge in {max_iter} iterations", result=partial)
 
 
-def _oracle_perturbed_lqa_fit(d, p, b0, tol=lqa.DEFAULT_TOL, max_iter=lqa.MAX_ITER):
+def _oracle_perturbed_lqa_fit(d, p, b0, step=_oracle_step, tol=lqa.DEFAULT_TOL,
+                              max_iter=lqa.MAX_ITER):
     beta = np.asarray(b0, dtype=float).copy()
     pred = list(_predictor_indices(d))
     top = float(np.max(np.abs(beta[pred])))
@@ -239,7 +263,7 @@ def _oracle_perturbed_lqa_fit(d, p, b0, tol=lqa.DEFAULT_TOL, max_iter=lqa.MAX_IT
         coef2 = np.zeros(d.n_coef)
         for j in pred:
             coef2[j] = d.n * penalty.lqa_coefficient(p, abs(beta[j]), tau0)
-        new = _oracle_newton(d, coef2, active, beta, tol / 10.0)
+        new = step(d, coef2, active, beta, tol / 10.0)
         delta = float(np.max(np.abs(new - beta)))
         beta = new
         trace.append(_oracle_perturbed_objective(d, beta, p, tau0))
@@ -264,12 +288,19 @@ def _fields(fit):
             fit.converged, fit.method)
 
 
-def _fit_outcome(fitter, d, p, b0):
+def _run(fitter, d, p, b0, **kw):
+    """The fit, or the package error it raised."""
     try:
-        return _fields(fitter(d, p, b0))
+        return fitter(d, p, b0, **kw)
     except SparsefitError as exc:
-        partial = getattr(exc, "result", None)
-        return type(exc), str(exc), None if partial is None else _fields(partial)
+        return exc
+
+
+def _outcome(res):
+    if not isinstance(res, SparsefitError):
+        return _fields(res)
+    partial = getattr(res, "result", None)
+    return type(res), str(res), None if partial is None else _fields(partial)
 
 
 FAMILIES = ("gaussian", "logistic", "poisson")
@@ -286,19 +317,24 @@ def _oracle_dataset(family, design):
     return glm.Dataset(X, d.response, family, intercept=design != "plain")
 
 
-def _oracle_outcomes(d):
-    """(new, oracle) outcomes of LQA and P-LQA for every penalty at three levels."""
+def _oracle_runs(d, step=_oracle_step):
+    """(fit, oracle) results of LQA and P-LQA for every penalty at three levels;
+    case 2k is LQA and 2k + 1 P-LQA at the k-th penalty."""
     b0 = glm.fit_mle(d)
     top = float(np.max(np.abs(b0)))
-    pairs = []
+    runs = []
     for family, scale in ORACLE_PENALTIES:
         for level in (0.02, 0.1, 0.4):
             p = PenaltySpec(family, level * scale * top, q=0.5)
-            pairs.append((_fit_outcome(lqa.lqa_fit, d, p, b0),
-                          _fit_outcome(_oracle_lqa_fit, d, p, b0)))
-            pairs.append((_fit_outcome(lqa.perturbed_lqa_fit, d, p, b0),
-                          _fit_outcome(_oracle_perturbed_lqa_fit, d, p, b0)))
-    return pairs
+            runs.append((_run(lqa.lqa_fit, d, p, b0),
+                         _run(_oracle_lqa_fit, d, p, b0, step=step)))
+            runs.append((_run(lqa.perturbed_lqa_fit, d, p, b0),
+                         _run(_oracle_perturbed_lqa_fit, d, p, b0, step=step)))
+    return runs
+
+
+def _oracle_outcomes(d):
+    return [(_outcome(got), _outcome(want)) for got, want in _oracle_runs(d)]
 
 
 @pytest.mark.filterwarnings("ignore::sparsefit.exceptions.RidgeFallbackWarning")
@@ -311,10 +347,109 @@ def test_fits_bit_identical_to_per_iterate_glm_calls(family, design):
         assert got == want, i
 
 
+def _agrees_with_newton(got, want):
+    """Same support, iterations, convergence and exception type; coefficients
+    within 1e-10 relative to 1 + max |beta|."""
+    if isinstance(got, SparsefitError) or isinstance(want, SparsefitError):
+        if type(got) is not type(want):
+            return False
+        got, want = getattr(got, "result", None), getattr(want, "result", None)
+        if got is None or want is None:
+            return got is want
+    if (got.support, got.iterations, got.converged) != (want.support, want.iterations,
+                                                         want.converged):
+        return False
+    got_b, want_b = (np.append(f.coefficients, f.intercept or 0.0) for f in (got, want))
+    return float(np.max(np.abs(got_b - want_b))) <= 1e-10 * (1.0 + float(np.max(np.abs(want_b))))
+
+
+@pytest.mark.parametrize("design", ["plain", "intercept"])
+def test_gaussian_closed_form_agrees_with_the_ridge_newton_oracle(design):
+    runs = _oracle_runs(_oracle_dataset("gaussian", design), step=_oracle_newton)
+    assert len(runs) == 24
+    for i, (got, want) in enumerate(runs):
+        assert _agrees_with_newton(got, want), i
+
+
+# (converged, support, iterations) of the closed form on the duplicated Gaussian design
+PINNED_DUPLICATED = {0: (True, (0, 1, 2, 3, 4), 2), 1: (True, (0, 1, 2, 3, 4), 2),
+                     2: (True, (0, 1, 2, 4), 28), 3: (True, (0, 1, 2, 4), 28)}
+
+
+@pytest.mark.filterwarnings("ignore::sparsefit.exceptions.RidgeFallbackWarning")
+def test_duplicated_gaussian_design_converges_where_ridge_newton_did_not():
+    # SCAD at 0.02 and 0.1 x max|b0| (cases 0-3: LQA, P-LQA, LQA, P-LQA): the inner
+    # Newton loop ran out of iterations on the near-singular ridge system, while
+    # its exact maximizer is one solve
+    runs = _oracle_runs(_oracle_dataset("gaussian", "duplicated"), step=_oracle_newton)
+    for i, (got, want) in enumerate(runs):
+        if i < 4:
+            assert isinstance(want, NonConvergence), i
+            assert str(want) == "inner ridge maximization did not converge"
+            assert (got.converged, got.support, got.iterations) == PINNED_DUPLICATED[i], i
+        else:
+            assert _agrees_with_newton(got, want), i
+
+
 def test_oracle_catches_a_gram_summed_in_another_order(monkeypatch):
     # X^T X summed by einsum instead of the BLAS product of glm.neg_hessian
     # agrees to rounding only; the oracle must tell the two apart
-    monkeypatch.setattr(lqa, "_gaussian_hessian", lambda d, beta: np.einsum(
-        "ij,ik->jk", d.model_matrix, d.model_matrix))
+    lqa_glm = types.SimpleNamespace(**vars(glm))
+    lqa_glm.neg_hessian = lambda d, beta: np.einsum("ij,ik->jk", d.model_matrix, d.model_matrix)
+    monkeypatch.setattr(lqa, "glm", lqa_glm)
     pairs = _oracle_outcomes(_oracle_dataset("gaussian", "intercept"))
     assert any(got != want for got, want in pairs)
+
+
+@pytest.mark.parametrize("design", ["plain", "intercept"])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_gaussian_steps_zero_the_active_ridge_gradient(monkeypatch, design, perturbed):
+    # every outer step maximizes the ridge surrogate expanded at the previous iterate:
+    # (X^T (y - X beta))_A - 2 c2 beta_A = 0 on the active block A, and beta is 0 off it
+    d = _oracle_dataset("gaussian", design)
+    b0 = glm.fit_mle(d)
+    pred = list(_predictor_indices(d))
+    top = float(np.max(np.abs(b0[pred])))
+    p = PenaltySpec("scad", 0.3 * top)  # LQA deletes three predictors on the way
+    tau0, eps0 = (lqa.TAU0_SCALE * top, 0.0) if perturbed else (0.0, lqa.EPS0_SCALE * top)
+    iterates, loglik = [], glm.loglik
+
+    def recording_loglik(d_, beta):
+        iterates.append(beta.copy())
+        return loglik(d_, beta)
+
+    monkeypatch.setattr(glm, "loglik", recording_loglik)
+    if perturbed:
+        fit = lqa.perturbed_lqa_fit(d, p, b0, tau0=tau0)
+    else:
+        fit = lqa.lqa_fit(d, p, b0, eps0=eps0)
+    M, y = d.model_matrix, d.response
+    point, steps = iterates[0], 0
+    for cur in iterates[1:]:
+        dead = [j for j in pred if 0.0 < abs(point[j]) < eps0]
+        if dead:  # the log-likelihood of the deletion, not a step
+            assert np.array_equal(np.where(np.isin(range(d.n_coef), dead), 0.0, point), cur)
+            point = cur
+            continue
+        alive = pred if perturbed else [j for j in pred if point[j] != 0.0]
+        A = [0] * d.intercept + alive
+        c2 = np.array([0.0] * d.intercept
+                      + [d.n * penalty.lqa_coefficient(p, abs(point[j]), tau0) for j in alive])
+        fitted, ridge = (M.T @ (M @ cur))[A], 2.0 * c2 * cur[A]
+        grad = (M.T @ y)[A] - fitted - ridge
+        scale = 1.0 + float(np.max(np.abs(M.T @ y)) + np.max(np.abs(fitted)) + np.max(np.abs(ridge)))
+        assert float(np.max(np.abs(grad))) <= 1e-9 * scale, steps
+        assert not np.delete(cur, A).any()
+        point, steps = cur, steps + 1
+    assert steps == fit.iterations > 1
+
+
+@pytest.mark.parametrize("fitter", [lqa.lqa_fit, lqa.perturbed_lqa_fit])
+def test_exactly_singular_gaussian_ridge_system_raises(fitter):
+    # two equal columns and lambda = 0, so no ridge: X^T X is exactly singular
+    d = random_dataset(7, 30, 3)
+    X = d.design.copy()
+    X[:, 2] = X[:, 0]
+    d = glm.Dataset(X, d.response, "gaussian")
+    with pytest.raises(SingularSystem, match="^ridge Newton system is singular$"):
+        fitter(d, PenaltySpec("scad", 0.0), np.array([1.0, 0.5, 1.0]))

@@ -137,6 +137,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             PenaltySpec("l1", -1.0)
 
+    @pytest.mark.parametrize("lam", [float("inf"), float("nan")])
+    def test_lambda_must_be_finite(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            PenaltySpec("scad", lam)
+
     def test_scad_a_bound(self):
         with pytest.raises(ValueError):
             PenaltySpec("scad", 1.0, a=2.0)
@@ -171,7 +176,8 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "bad",
-        ["scad", "scad:a=3.7", "huber:lambda=1", "lq:lambda=1", "scad:lambda=x", "l1:lambda=1,z=2"],
+        ["scad", "scad:a=3.7", "huber:lambda=1", "lq:lambda=1", "scad:lambda=x", "l1:lambda=1,z=2",
+         "scad:lambda=inf"],
     )
     def test_rejects(self, bad):
         with pytest.raises(ValueError):

@@ -1,15 +1,16 @@
 """Simulation replications against the outputs recorded in perfbench/reference.json.
 
 The benchmark checks every unit whose seed is a recorded key, but only when it
-runs.  These tests run the recorded ``sim_linear`` units and the first five
-``sim_glm`` and ``sim_lqa`` units through the benchmark's own workload code,
-so a change that moves a selection (C, IC or fit class) or an MRME beyond its
-1e-9 relative tolerance fails here first.  Three unrecorded ``sim_lqa`` units
-whose LQA refit at the chosen lambda does not converge get the structural
-check.  The recorded ``cli_session`` units and threshold curves, the only
-pins on the bytes of ``fit --method k-step`` and ``full-lla``, run the same
-way.  They read the benchmark's files and write only to a temporary
-directory.
+runs.  These tests run the recorded ``sim_linear`` and ``sim_lqa`` units and
+the first five ``sim_glm`` units through the benchmark's own workload code, so
+a change that moves a selection (C, IC or fit class) or an MRME beyond its
+1e-9 relative tolerance fails here first.  Every recorded ``sim_lqa`` unit
+runs, since they are the only pins on the LQA and P-LQA fits.  Three
+unrecorded ``sim_lqa`` units whose LQA refit at the chosen lambda does not
+converge get the structural check.  The recorded ``cli_session`` units and
+threshold curves, the only pins on the bytes of ``fit --method k-step`` and
+``full-lla``, run the same way.  They read the benchmark's files and write
+only to a temporary directory.
 """
 
 import importlib.util
@@ -32,7 +33,7 @@ workloads = _load_workloads()
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 
 UNITS = ([("sim_linear", k) for k in range(40)] + [("sim_glm", k) for k in range(5)]
-         + [("sim_lqa", k) for k in range(5)])
+         + [("sim_lqa", k) for k in range(20)])
 
 
 @pytest.mark.parametrize("name,k", UNITS)

@@ -35,6 +35,12 @@ class TestGrid:
         g = tuning.default_lambda_grid(0.0, 3)
         assert np.all(g > 0)
 
+    # numpy's geomspace overflows inside on the way, yet pins both endpoints
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+    def test_finite_lam_max_gives_finite_points(self):
+        g = tuning.default_lambda_grid(np.finfo(float).max, 100, 1e-3)
+        assert np.all(np.isfinite(g)) and np.all(g > 0)
+
 
 class TestCvSelect:
     def test_single_point_grid(self):

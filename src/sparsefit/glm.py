@@ -11,6 +11,7 @@ The dispersion parameter is never estimated or penalized.
 import csv
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,11 @@ class Dataset:
     def model_matrix(self) -> np.ndarray:
         return self._model_matrix
 
+    @cached_property
+    def _log_y_factorial(self) -> np.ndarray:  # the Poisson log-likelihood's constant
+        from scipy.special import gammaln  # deferred: most of the package import time
+        return gammaln(self.response + 1.0)
+
     def subset_rows(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.design[idx], self.response[idx], self.family, self.intercept)
 
@@ -111,21 +117,20 @@ def _mean(family: str, eta: np.ndarray) -> np.ndarray:
     return np.exp(eta)
 
 
-def _curvature(family: str, eta: np.ndarray) -> np.ndarray:
+def _curvature(family: str, mu: np.ndarray) -> np.ndarray:  # mu: the mean, from _mean
     if family == "gaussian":
-        return np.ones(eta.shape)
-    mu = _mean(family, eta)
+        return np.ones(mu.shape)
     return mu * (1.0 - mu) if family == "logistic" else mu
 
 
-def _eta_loglik(family: str, y: np.ndarray, eta: np.ndarray):
-    """Log-likelihood of ``y`` summed over the last axis of ``eta``."""
-    if family == "gaussian":
+def _eta_loglik(d: Dataset, eta: np.ndarray):
+    """Log-likelihood of ``d``'s response summed over the last axis of ``eta``."""
+    y = d.response
+    if d.family == "gaussian":
         return -0.5 * np.sum((y - eta) ** 2, axis=-1)
-    if family == "logistic":
+    if d.family == "logistic":
         return np.sum(y * eta - np.logaddexp(0.0, eta), axis=-1)
-    from scipy.special import gammaln
-    return np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0), axis=-1)
+    return np.sum(y * eta - np.exp(eta) - d._log_y_factorial, axis=-1)
 
 
 def mean_response(d: Dataset, mu: np.ndarray) -> np.ndarray:
@@ -135,7 +140,7 @@ def mean_response(d: Dataset, mu: np.ndarray) -> np.ndarray:
 
 def loglik(d: Dataset, beta) -> float:
     """Total log-likelihood at the model vector ``beta``."""
-    return float(_eta_loglik(d.family, d.response, linear_predictor(d, beta)))
+    return float(_eta_loglik(d, linear_predictor(d, beta)))
 
 
 def score(d: Dataset, beta) -> np.ndarray:
@@ -146,7 +151,7 @@ def score(d: Dataset, beta) -> np.ndarray:
 
 def curvature_weights(d: Dataset, beta) -> np.ndarray:
     """Per-observation negative second derivative of the log-likelihood in mu."""
-    return _curvature(d.family, linear_predictor(d, beta))
+    return _curvature(d.family, _mean(d.family, linear_predictor(d, beta)))
 
 
 def neg_hessian(d: Dataset, beta) -> np.ndarray:
@@ -178,11 +183,11 @@ def _stack_eta(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.matmul(X, beta[:, :, None])[:, :, 0]
 
 
-def _newton_mle(X: np.ndarray, y: np.ndarray, family: str):
+def _newton_mle(X: np.ndarray, d: Dataset):
     """Damped Newton-Raphson MLEs for a stack of model matrices, in lockstep.
 
-    ``X`` is (m, n, k): m logistic or Poisson model matrices over the shared
-    response ``y``.  Every member starts at zero; each round forms all
+    ``X`` is (m, n, k): m logistic or Poisson model matrices over the
+    response of ``d``.  Every member starts at zero; each round forms all
     scores and X^T D X with batched ``np.matmul``, solves all Newton systems
     in one stacked ``np.linalg.solve`` and runs a vectorized step-halving
     line search (at most 40 trials, accepting ll_new >= ll - 1e-12).  A
@@ -200,9 +205,10 @@ def _newton_mle(X: np.ndarray, y: np.ndarray, family: str):
     live = np.arange(m)
     beta = np.zeros((m, k))
     eta = _stack_eta(X, beta)
-    ll = _eta_loglik(family, y, eta)
+    ll = _eta_loglik(d, eta)
     for _ in range(_MLE_MAX_ITER):
-        g = np.matmul(X.transpose(0, 2, 1), (y - _mean(family, eta))[:, :, None])[:, :, 0]
+        mu = _mean(d.family, eta)
+        g = np.matmul(X.transpose(0, 2, 1), (d.response - mu)[:, :, None])[:, :, 0]
         done = np.max(np.abs(g), axis=1) <= _MLE_GRAD_TOL
         if done.any():
             beta_out[live[done]] = beta[done]
@@ -210,10 +216,10 @@ def _newton_mle(X: np.ndarray, y: np.ndarray, family: str):
             if done.all():
                 return beta_out, ll_out
             keep = ~done
-            live, X, beta, eta, ll, g = (
-                live[keep], X[keep], beta[keep], eta[keep], ll[keep], g[keep]
+            live, X, beta, mu, ll, g = (
+                live[keep], X[keep], beta[keep], mu[keep], ll[keep], g[keep]
             )
-        H = np.matmul(X.transpose(0, 2, 1), _curvature(family, eta)[:, :, None] * X)
+        H = np.matmul(X.transpose(0, 2, 1), _curvature(d.family, mu)[:, :, None] * X)
         try:
             step = np.linalg.solve(H, g[:, :, None])[:, :, 0]
             bad = ~np.all(np.isfinite(step), axis=1)
@@ -225,7 +231,7 @@ def _newton_mle(X: np.ndarray, y: np.ndarray, family: str):
         t = np.ones(len(live))
         cand = beta + t[:, None] * step
         eta_new = _stack_eta(X, cand)
-        ll_new = _eta_loglik(family, y, eta_new)
+        ll_new = _eta_loglik(d, eta_new)
         todo = ~(np.isfinite(ll_new) & (ll_new >= ll - 1e-12))
         for _ in range(39):  # halvings after the full step: 40 trials in all
             if not todo.any():
@@ -234,7 +240,7 @@ def _newton_mle(X: np.ndarray, y: np.ndarray, family: str):
             t[i] *= 0.5
             cand[i] = beta[i] + t[i, None] * step[i]
             eta_new[i] = _stack_eta(X[i], cand[i])
-            ll_new[i] = _eta_loglik(family, y, eta_new[i])
+            ll_new[i] = _eta_loglik(d, eta_new[i])
             todo[i] = ~(np.isfinite(ll_new[i]) & (ll_new[i] >= ll[i] - 1e-12))
         if todo.any():
             raise NonConvergence("Newton line search failed to find an ascent step")
@@ -252,7 +258,7 @@ def fit_mle(d: Dataset) -> np.ndarray:
     """
     M, y = d.model_matrix, d.response
     if d.family != "gaussian":
-        beta, _ = _newton_mle(M[None], y, d.family)
+        beta, _ = _newton_mle(M[None], d)
         return beta[0]
     beta, _, rank, _ = np.linalg.lstsq(M, y, rcond=None)
     if rank < M.shape[1]:

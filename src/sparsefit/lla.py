@@ -154,13 +154,13 @@ def _result_from_model_vector(d, beta_model, lam, method, trace, iterations, con
 
 
 def _working_response(d, beta):
-    """IRLS working pieces sqrt(D) X and sqrt(D) mu + (y - m) / sqrt(D) at beta."""
+    """IRLS working pieces sqrt(D) X and sqrt(D) eta + (y - mu) / sqrt(D) at beta."""
     if d.family == "gaussian":
         return d.model_matrix, d.response
-    mu = d.model_matrix @ beta
-    w = np.maximum(glm.curvature_weights(d, beta), _CURV_FLOOR)
-    sw = np.sqrt(w)
-    return sw[:, None] * d.model_matrix, sw * mu + (d.response - glm.mean_response(d, mu)) / sw
+    eta = d.model_matrix @ beta
+    mu = glm.mean_response(d, eta)
+    sw = np.sqrt(np.maximum(glm._curvature(d.family, mu), _CURV_FLOOR))
+    return sw[:, None] * d.model_matrix, sw * eta + (d.response - mu) / sw
 
 
 def _lla_step(d, w, beta, tol):
@@ -333,6 +333,11 @@ def one_step_lambda_max(d: glm.Dataset, p: PenaltySpec, b0=None) -> float:
     return max(lam_corr, lam_beta) * (1.0 + 1e-10)
 
 
+def _path_point(d, beta, lam):  # None where the coefficients overflowed
+    finite = np.isfinite(beta).all()
+    return _result_from_model_vector(d, beta, lam, "one_step", (), 1) if finite else None
+
+
 def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None):
     """One-step fits along a descending lambda grid, warm-started.
 
@@ -340,7 +345,7 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None):
     SCAD route is re-solved per grid point (its U/V split changes with
     lambda) in the Gram domain so the per-point cost does not grow with n.
     Entries carry no objective trace (``objective_trace == ()``); entries
-    that fail to fit are returned as None.
+    that fail to fit, or whose coefficients are not finite, are None.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -362,7 +367,7 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None):
             try:
                 warm, _, _ = wlasso.solve_gram(G, bvec, _level_weights(prob.weights, lam),
                                                tol=TOL, x0=warm)
-                out.append(_result_from_model_vector(d, warm * scales, lam, "one_step", (), 1))
+                out.append(_path_point(d, warm * scales, lam))
             except (NonConvergence, np.linalg.LinAlgError):
                 out.append(None)
         return out
@@ -391,7 +396,7 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None):
             beta[u_idx] = psolve(bs[u_idx] - Gu.take(v_idx, 1) @ beta_v)
             beta[v_idx] = beta_v * s[v_idx]
             prev_beta = beta
-            out.append(_result_from_model_vector(d, beta, lam, "one_step", (), 1))
+            out.append(_path_point(d, beta, lam))
         except (NonConvergence, np.linalg.LinAlgError):
             out.append(None)
     return out

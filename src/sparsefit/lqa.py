@@ -102,8 +102,9 @@ def _newton_argmax_quadratic(d, c2, idx, start, ll, tol):
     b_act = beta[idx]
     obj = ll - float((c2 * b_act ** 2).sum())
     for _ in range(MAX_INNER):
-        g = (M.T @ (y - glm.mean_response(d, eta)))[idx] - c2x2 * b_act
-        H = (M.T @ (glm._curvature(family, eta)[:, None] * M))[np.ix_(idx, idx)] + ridge
+        mu = glm.mean_response(d, eta)
+        g = (M.T @ (y - mu))[idx] - c2x2 * b_act
+        H = (M.T @ (glm._curvature(family, mu)[:, None] * M))[np.ix_(idx, idx)] + ridge
         step = _solve_ridge(H, g)
         t = 1.0
         for _ in range(40):
@@ -111,7 +112,7 @@ def _newton_argmax_quadratic(d, c2, idx, start, ll, tol):
             cand_act = b_act + t * step
             cand[idx] = cand_act
             eta_new = M @ cand
-            ll_new = float(glm._eta_loglik(family, y, eta_new))
+            ll_new = float(glm._eta_loglik(d, eta_new))
             new = ll_new - float((c2 * cand_act ** 2).sum())
             if math.isfinite(new) and new >= obj - 1e-12:
                 break

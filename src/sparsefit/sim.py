@@ -243,8 +243,9 @@ def _run_replication(spec: ScenarioSpec, rep_index: int):
         elif m.kind == "full":
             beta_hat = b_full.copy()
         elif m.kind == "subset":
-            if subset_fits is None:
-                subset_fits = subset.enumerate_subset_fits(data)
+            if subset_fits is None:  # one search serves every subset criterion
+                criteria = tuple(s.criterion for s in spec.methods if s.kind == "subset")
+                subset_fits = subset.enumerate_subset_fits(data, criteria)
             (cols, _, beta_hat), _, _ = subset.select_from_enumeration(
                 subset_fits, m.criterion, data.n
             )

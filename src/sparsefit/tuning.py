@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import glm
-from .exceptions import SparsefitError
+from .exceptions import DataError, SparsefitError
 
 DEFAULT_FOLDS = 5
 DEFAULT_N_LAMBDA = 100
@@ -35,7 +35,10 @@ SOLVER_ERRORS = (SparsefitError, np.linalg.LinAlgError)
 
 def default_lambda_grid(lam_max: float, n_points: int = DEFAULT_N_LAMBDA,
                         min_ratio: float = DEFAULT_MIN_RATIO) -> np.ndarray:
-    """Log-spaced descending grid from lam_max down to min_ratio * lam_max."""
+    """Log-spaced descending grid from lam_max (1 if lam_max <= 0) down to
+    min_ratio * lam_max; raises :class:`DataError` if lam_max is NaN or inf."""
+    if not math.isfinite(lam_max):
+        raise DataError(f"lambda_max is {lam_max}: the data's scale is out of range")
     if not lam_max > 0.0:
         lam_max = 1.0
     return np.geomspace(lam_max, lam_max * min_ratio, n_points)

@@ -40,6 +40,18 @@ def strong_csv(tmp_path):
     return path
 
 
+@pytest.fixture
+def extreme_csv(tmp_path):
+    """x near 1e-100 and y near 1e200: the log penalty's lambda_max is NaN."""
+    rng = np.random.default_rng(0)
+    X = 1e-100 * rng.standard_normal((50, 3))
+    y = 1e200 * rng.standard_normal(50)
+    path = tmp_path / "extreme.csv"
+    path.write_text("x1,x2,x3,y\n" + "".join(
+        ",".join(repr(float(v)) for v in (*X[i], y[i])) + "\n" for i in range(50)))
+    return path
+
+
 class TestFit:
     def test_lambda_zero_matches_ols(self, runner, toy_csv):
         path, X, y = toy_csv
@@ -66,6 +78,14 @@ class TestFit:
         doc = json.loads(res.output)
         assert doc["support"] == [0]
         assert doc["method"] == "subset"
+
+    def test_subset_iterations_count_every_subset(self, runner, toy_csv):
+        # the bounded search fits fewer, but covers all 2^p
+        path, _, _ = toy_csv
+        res = runner.invoke(cli.main, ["fit", "--data", str(path), "--response", "y",
+                                       "--method", "subset", "--criterion", "aic"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["iterations"] == 2 ** 3
 
     def test_missing_response_is_exit_3(self, runner, toy_csv):
         path, _, _ = toy_csv
@@ -391,6 +411,15 @@ class TestCvFitDispatch:
         assert res.exit_code == 0, res.output
         assert len(seen) == 5 * 100 + 1
         assert set(seen) == {0.125}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["path"], ["cv"], ["fit", "--cv"]])
+def test_non_finite_lambda_max_is_exit_3(runner, extreme_csv, argv):
+    res = runner.invoke(cli.main, argv + ["--data", str(extreme_csv), "--response", "y",
+                                          "--penalty", "log:lambda=1"])
+    assert res.exit_code == 3, res.output
+    assert "lambda_max is nan" in res.output
 
 
 class TestPath:

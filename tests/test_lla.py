@@ -259,6 +259,16 @@ class TestPath:
             grid = tuning.default_lambda_grid(lla.one_step_lambda_max(d, pen), 10)
             assert all(fit.objective_trace == () for fit in lla.one_step_path(d, pen, grid))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_points_are_none(self):
+        # x near 1e160 overflows the Gram matrix; the SCAD points that overflow
+        # are failures, not coefficient vectors of inf and NaN
+        rng = np.random.default_rng(0)
+        d = glm.Dataset(1e160 * rng.standard_normal((50, 3)), rng.standard_normal(50), "gaussian")
+        fits = lla.one_step_path(d, SCAD2, np.geomspace(1e305, 1e-300, 61))
+        assert sum(fit is None for fit in fits) > 0
+        assert all(np.isfinite(fit.coefficients).all() for fit in fits if fit is not None)
+
     def test_lambda_max_gives_empty_support(self):
         for pen in (SCAD2, PenaltySpec("log", 1.0), PenaltySpec("l1", 1.0)):
             d = random_dataset(43, 40, 4)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sparsefit import glm, subset
+from sparsefit import glm, sim, subset
 from sparsefit.exceptions import NonConvergence, RidgeFallbackWarning, TooManyPredictors
 
 from conftest import random_dataset
@@ -360,3 +360,64 @@ class TestStackedGaussianEnumeration:
         base = random_dataset(61, 5, 6)
         d = glm.Dataset(base.design, base.response, "gaussian", intercept=True)
         self.assert_equal_to_oracle(d, subset.enumerate_subset_fits(d))
+
+
+class TestBoundedSearch:
+    """The search fits only what a criterion can select, and picks as fitting all 2^p does."""
+
+    @staticmethod
+    def assert_bounded_matches_exhaustive(d):
+        every = subset.enumerate_subset_fits(d)
+        assert len(every) == 2 ** d.p
+        by_cols = {cols: (two_ll, beta) for cols, two_ll, beta in every}
+        for criteria in (("aic",), ("bic",), ("aic", "bic")):
+            fits = subset.enumerate_subset_fits(d, criteria)
+            cols_fit = [cols for cols, _, _ in fits]
+            assert cols_fit == [cols for cols in by_cols if cols in set(cols_fit)]  # (size, lex)
+            for cols, two_ll, beta in fits:
+                assert two_ll == by_cols[cols][0]
+                assert beta.tobytes() == by_cols[cols][1].tobytes()
+            for criterion in criteria:
+                (cols, two_ll, beta), score, _ = subset.select_from_enumeration(
+                    fits, criterion, d.n)
+                (want_cols, want_ll, want_beta), want_score, _ = subset.select_from_enumeration(
+                    every, criterion, d.n)
+                assert (cols, two_ll, score) == (want_cols, want_ll, want_score)
+                assert beta.tobytes() == want_beta.tobytes()
+
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_designs(self, family, intercept, seed):
+        base = random_dataset(100 + seed, 60, 6, family)
+        self.assert_bounded_matches_exhaustive(
+            glm.Dataset(base.design, base.response, family, intercept))
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_near_collinear_on_both_solve_routes(self, intercept, above):
+        target = subset._COND_MAX * (1.02 if above else 1.0)
+        d = TestStackedGaussianEnumeration.near_collinear(59, intercept, target)
+        assert (gram_condition(d) >= subset._COND_MAX) == above
+        self.assert_bounded_matches_exhaustive(d)
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_duplicated_column_tie(self, intercept):
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((40, 5))
+        X[:, 3] = X[:, 0]  # {0} and {3} tie, as do their supersets
+        y = 3.0 * X[:, 0] - X[:, 1] + 0.5 * rng.standard_normal(40)
+        self.assert_bounded_matches_exhaustive(glm.Dataset(X, y, "gaussian", intercept))
+
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_one_or_two_predictors(self, family, p):
+        for intercept in (False, True):
+            base = random_dataset(7, 40, p, family)
+            self.assert_bounded_matches_exhaustive(
+                glm.Dataset(base.design, base.response, family, intercept))
+
+    def test_most_subsets_are_never_fit(self):
+        d = sim.generate(sim.ScenarioSpec("logistic", 200, 1, ("subset:bic",), seed=0), 0)
+        assert len(subset.enumerate_subset_fits(d, ("bic",))) < 2 ** d.p / 10
+        assert len(subset.enumerate_subset_fits(d)) == 2 ** d.p

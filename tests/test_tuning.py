@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparsefit import glm, lla, tuning
-from sparsefit.exceptions import NonConvergence
+from sparsefit.exceptions import DataError, NonConvergence
 from sparsefit.lla import FitResult
 from sparsefit.penalty import PenaltySpec
 
@@ -34,6 +34,11 @@ class TestGrid:
     def test_degenerate_lam_max(self):
         g = tuning.default_lambda_grid(0.0, 3)
         assert np.all(g > 0)
+
+    @pytest.mark.parametrize("lam_max", [math.nan, math.inf])
+    def test_non_finite_lam_max_is_a_data_error(self, lam_max):
+        with pytest.raises(DataError):
+            tuning.default_lambda_grid(lam_max, 3)
 
     # numpy's geomspace overflows inside on the way, yet pins both endpoints
     @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import glm, penalty, wlasso
-from .exceptions import FamilyMismatch, NonConvergence, SingularProjectionWarning
+from .exceptions import DataError, FamilyMismatch, NonConvergence, SingularProjectionWarning
 from .penalty import PenaltySpec
 
 #: finite working weights above this cap behave like +inf (coordinate pinned)
@@ -84,7 +84,11 @@ def _separable_problem(d: glm.Dataset, b0, p: PenaltySpec):
             scales[j], u[j] = 0.0, np.inf
         else:
             scales[j], u[j] = 1.0 / pd, d.n
-    prob = wlasso.WlassoProblem(sqrt_d[:, None] * M * scales, sqrt_d * (M @ b0), u)
+    try:
+        prob = wlasso.WlassoProblem(sqrt_d[:, None] * M * scales, sqrt_d * (M @ b0), u)
+    except ValueError:  # shapes and weights are valid by construction: X or y overflowed
+        raise DataError("the one-step working problem overflows: "
+                        "the data's scale is out of range") from None
     return prob, scales
 
 

@@ -15,7 +15,8 @@ once per fit.  For logistic and Poisson data each outer step maximizes the
 surrogate by damped Newton; the kernel shares one linear predictor per
 iterate between the score, the Hessian and the line-search log-likelihood,
 and its floats are those of separate ``glm`` calls at each iterate.  The
-objective traces sum the penalty over Python floats.
+objective traces sum the penalty over Python floats; they are built only
+when asked for (``trace=True``), since tuning reads only the coefficients.
 """
 
 import math
@@ -150,8 +151,10 @@ def _ridge_lqa(d, p, beta, tau0, eps0, pen_value, method, tol):
 
     A coordinate whose magnitude drops below ``eps0`` is zeroed and removed
     for good (``eps0 = 0`` never deletes, and the active block is then the
-    whole model vector).  The trace is loglik - n * sum_j pen_value(|b_j|).
-    Returns ``(beta, trace, iterations)`` at convergence; otherwise raises
+    whole model vector).  The trace is loglik - n * sum_j pen_value(|b_j|);
+    with ``pen_value`` None it is empty, and a Gaussian fit then evaluates no
+    log-likelihood (the Newton line search still needs one).  Returns
+    ``(beta, trace, iterations)`` at convergence; otherwise raises
     NonConvergence carrying the partial fit, labelled ``method``.
     """
     gram = None
@@ -164,16 +167,19 @@ def _ridge_lqa(d, p, beta, tau0, eps0, pen_value, method, tol):
     def objective(ll, vals):
         return ll - n * sum(pen_value(abs(b)) for b in vals[first:])
 
+    traced = pen_value is not None
+    need_ll = traced or gram is None
     alive = list(_predictor_indices(d))
-    ll = glm.loglik(d, beta)
+    ll = glm.loglik(d, beta) if need_ll else None
     vals = beta.tolist()
-    trace = [objective(ll, vals)]
+    trace = [objective(ll, vals)] if traced else []
     idx = block = None
     for it in range(1, MAX_ITER + 1):
         dead = [j for j in alive if abs(vals[j]) < eps0]
         if dead:
             beta[dead] = 0.0
-            ll = glm.loglik(d, beta)
+            if need_ll:
+                ll = glm.loglik(d, beta)
             alive = [j for j in alive if j not in dead]
         if dead or idx is None:
             idx = np.asarray([0] * first + alive, dtype=int)
@@ -182,13 +188,15 @@ def _ridge_lqa(d, p, beta, tau0, eps0, pen_value, method, tol):
         new = beta.copy()
         if idx.size and gram is not None:
             new[idx] = _solve_ridge(block + 2.0 * np.diag(c2), mty[idx])
-            ll = glm.loglik(d, new)
+            if traced:
+                ll = glm.loglik(d, new)
         elif idx.size:
             new, ll = _newton_argmax_quadratic(d, c2, idx, beta, ll, tol / 10.0)
         delta = float(abs(new - beta).max())
         beta = new
         vals = beta.tolist()
-        trace.append(objective(ll, vals))
+        if traced:
+            trace.append(objective(ll, vals))
         if delta <= tol and not dead:
             return beta, trace, it
     partial = _result_from_model_vector(d, beta, p.lam, method, trace, MAX_ITER, converged=False)
@@ -197,40 +205,41 @@ def _ridge_lqa(d, p, beta, tau0, eps0, pen_value, method, tol):
 
 
 def lqa_fit(d: glm.Dataset, p: PenaltySpec, b0=None, eps0: float | None = None,
-            tol: float = DEFAULT_TOL) -> FitResult:
+            tol: float = DEFAULT_TOL, trace: bool = True) -> FitResult:
     """LQA estimator with the deletion rule.
 
     Any coordinate whose current magnitude drops below ``eps0`` is set to an
     exact zero and permanently removed from the iteration.  ``eps0``
-    defaults to 1e-8 times the largest initial coefficient magnitude.
+    defaults to 1e-8 times the largest initial coefficient magnitude.  With
+    ``trace=False`` the objective trace is empty and nothing else changes.
     """
     beta, top = _start(d, b0)
     if eps0 is None:
         eps0 = EPS0_SCALE * top if top > 0 else EPS0_SCALE
     if not eps0 > 0:
         raise ValueError("eps0 must be positive")
-    beta, trace, it = _ridge_lqa(d, p, beta, 0.0, eps0, lambda t: penalty.value(p, t), "lqa", tol)
-    return _result_from_model_vector(d, beta, p.lam, "lqa", trace, it)
+    pen_value = (lambda t: penalty.value(p, t)) if trace else None
+    beta, objs, it = _ridge_lqa(d, p, beta, 0.0, eps0, pen_value, "lqa", tol)
+    return _result_from_model_vector(d, beta, p.lam, "lqa", objs, it)
 
 
 def perturbed_lqa_fit(d: glm.Dataset, p: PenaltySpec, b0=None, tau0: float | None = None,
-                      tol: float = DEFAULT_TOL) -> FitResult:
+                      tol: float = DEFAULT_TOL, trace: bool = True) -> FitResult:
     """Perturbed LQA: denominators bounded away from zero, no deletion.
 
-    The recorded objective trace is the perturbed objective (log-likelihood
-    minus the perturbed penalty), which the iteration ascends.  Because the
-    ridge iterate is never exactly zero, the support is extracted once at
-    convergence with a hard-zero cutoff of 1e-6 times the largest
-    coefficient magnitude.
+    The recorded objective trace (empty with ``trace=False``) is the
+    perturbed objective (log-likelihood minus the perturbed penalty), which
+    the iteration ascends.  Because the ridge iterate is never exactly zero,
+    the support is extracted once at convergence with a hard-zero cutoff of
+    1e-6 times the largest coefficient magnitude.
     """
     beta, top = _start(d, b0)
     if tau0 is None:
         tau0 = TAU0_SCALE * top if top > 0 else TAU0_SCALE
     if not tau0 > 0:
         raise ValueError("tau0 must be positive")
-    beta, trace, it = _ridge_lqa(d, p, beta, tau0, 0.0,
-                                 lambda t: perturbed_penalty_value(p, t, tau0),
-                                 "perturbed_lqa", tol)
+    pen_value = (lambda t: perturbed_penalty_value(p, t, tau0)) if trace else None
+    beta, objs, it = _ridge_lqa(d, p, beta, tau0, 0.0, pen_value, "perturbed_lqa", tol)
     coef = beta[int(d.intercept):]  # a view: the cutoff zeroes predictors in place
     coef[np.abs(coef) <= SUPPORT_CUTOFF_SCALE * np.max(np.abs(coef))] = 0.0
-    return _result_from_model_vector(d, beta, p.lam, "perturbed_lqa", trace, it)
+    return _result_from_model_vector(d, beta, p.lam, "perturbed_lqa", objs, it)

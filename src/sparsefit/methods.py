@@ -5,16 +5,20 @@ at one lambda, :func:`select_lambda` tunes lambda with that method's fits,
 and :func:`tune_and_fit` does both.
 """
 
+import math
 from dataclasses import replace
 
 from . import glm, lla, lqa, tuning
+from .exceptions import DataError
 
 METHODS = ("one_step", "k_step", "full_lla", "lqa", "plqa")
 
 
-def fit(method, d, pen, b0=None, k=1, eps0=None, tau0=None):
+def fit(method, d, pen, b0=None, k=1, eps0=None, tau0=None, trace=True):
     """Fit ``method`` at ``pen.lam`` from ``b0`` (default: the MLE); ``k``,
-    ``eps0`` and ``tau0`` reach k-step, LQA and perturbed LQA only."""
+    ``eps0`` and ``tau0`` reach k-step, LQA and perturbed LQA only.
+    ``trace=False`` leaves an LQA or perturbed LQA objective trace empty; the
+    LLA methods always build theirs, which costs a few objective calls."""
     if method == "one_step":
         return lla.one_step(d, pen, b0=b0)
     if method == "k_step":
@@ -22,9 +26,9 @@ def fit(method, d, pen, b0=None, k=1, eps0=None, tau0=None):
     if method == "full_lla":
         return lla.full_lla(d, pen, b0=b0)
     if method == "lqa":
-        return lqa.lqa_fit(d, pen, b0=b0, eps0=eps0)
+        return lqa.lqa_fit(d, pen, b0=b0, eps0=eps0, trace=trace)
     if method == "plqa":
-        return lqa.perturbed_lqa_fit(d, pen, b0=b0, tau0=tau0)
+        return lqa.perturbed_lqa_fit(d, pen, b0=b0, tau0=tau0, trace=trace)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -37,8 +41,9 @@ def select_lambda(method, d, proto, b0=None, n_lambda=tuning.DEFAULT_N_LAMBDA,
     ``proto`` gives the penalty family and shape, ``b0`` the MLE of ``d``.
     The one-step method is fit along its path; the others once per grid
     point from one MLE of the training data (``b0`` itself when the
-    selector fits all of ``d``), with ``opts`` (k, eps0, tau0) and a solver
-    failure read as a None fit.
+    selector fits all of ``d``), with ``opts`` (k, eps0, tau0), ``trace=False``
+    and a solver failure read as a None fit.  Raises
+    :class:`DataError` when no grid point has a finite score.
     """
     if b0 is None:
         b0 = glm.fit_mle(d)
@@ -53,23 +58,29 @@ def select_lambda(method, d, proto, b0=None, n_lambda=tuning.DEFAULT_N_LAMBDA,
             out = []
             for lam in g:
                 try:
-                    out.append(fit(method, train, replace(proto, lam=float(lam)), b_train, **opts))
+                    out.append(fit(method, train, replace(proto, lam=float(lam)), b_train,
+                                   trace=False, **opts))
                 except tuning.SOLVER_ERRORS:
                     out.append(None)
             return out
 
     if selector == "cv":
-        return tuning.cv_select(d, fitter, grid, folds, seed)
-    if selector == "bic":
-        return tuning.bic_select(d, fitter, grid)
-    raise ValueError(f"selector must be cv or bic, got {selector!r}")
+        lam_star, curve = tuning.cv_select(d, fitter, grid, folds, seed)
+    elif selector == "bic":
+        lam_star, curve = tuning.bic_select(d, fitter, grid)
+    else:
+        raise ValueError(f"selector must be cv or bic, got {selector!r}")
+    if not any(score < math.inf for _, score in curve):
+        raise DataError(f"no lambda on the grid has a finite {selector} score")
+    return lam_star, curve
 
 
 def tune_and_fit(method, d, proto, b0=None, n_lambda=tuning.DEFAULT_N_LAMBDA,
                  min_ratio=tuning.DEFAULT_MIN_RATIO, selector="cv",
-                 folds=tuning.DEFAULT_FOLDS, seed=0, **opts):
+                 folds=tuning.DEFAULT_FOLDS, seed=0, trace=True, **opts):
     """Tune lambda as :func:`select_lambda` does, then refit all of ``d`` at
-    the chosen lambda from ``b0`` (default: the MLE of ``d``).
+    the chosen lambda from ``b0`` (default: the MLE of ``d``), passing
+    ``trace`` to that refit as :func:`fit` does.
 
     When that refit raises a solver error, the other grid points with a
     finite score are refit in the selector's order
@@ -83,7 +94,7 @@ def tune_and_fit(method, d, proto, b0=None, n_lambda=tuning.DEFAULT_N_LAMBDA,
     errors = []
     for lam in tuning.preferred_lambdas(curve):
         try:
-            return fit(method, d, replace(proto, lam=lam), b0, **opts)
+            return fit(method, d, replace(proto, lam=lam), b0, trace=trace, **opts)
         except tuning.SOLVER_ERRORS as exc:
             errors.append(exc)
     raise errors[0]

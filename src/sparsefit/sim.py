@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import glm, jsonio, methods, subset, tuning
+from . import glm, methods, subset, tuning
 from .penalty import SCAD_DEFAULT_A, PenaltySpec, penalty_from_params
 
 #: the standard coefficient vectors, zero-padded to 12 coordinates
@@ -217,10 +217,11 @@ def model_error(family: str, beta_hat, beta_true, sigma=None, test_design=None) 
 
 def _fit_penalized(spec, m, data, b_full, cv_seed):
     """Coefficients of ``m`` tuned by ``spec.tuning`` (CV seeded by ``cv_seed``,
-    or BIC) and refit on the full data; see :func:`methods.tune_and_fit`."""
+    or BIC) and refit on the full data, an LQA refit without its objective
+    trace; see :func:`methods.tune_and_fit`."""
     return methods.tune_and_fit(m.kind, data, m.pen, b_full, spec.n_lambda,
                                 spec.lambda_min_ratio, spec.tuning, spec.cv_folds,
-                                cv_seed).coefficients
+                                cv_seed, trace=False).coefficients
 
 
 def _run_replication(spec: ScenarioSpec, rep_index: int):
@@ -302,10 +303,6 @@ class SimulationReport:
         doc = {"schema": "sparsefit/1", **asdict(self)}
         del doc["failure_messages"]
         return doc
-
-
-def report_json(report: SimulationReport) -> str:
-    return jsonio.dumps(report.to_dict()) + "\n"
 
 
 def format_table(report: SimulationReport) -> str:

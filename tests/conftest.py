@@ -36,6 +36,16 @@ def random_dataset(seed, n, p, family="gaussian", beta=None, rho=0.5):
     return glm.Dataset(X, y, family)
 
 
+def design_dataset(family, design):
+    """40 x 5 data of ``family``: "plain" has no intercept, "intercept" has one,
+    and "duplicated" also copies column 0 into column 3."""
+    d = random_dataset(40 + glm.FAMILIES.index(family), 40, 5, family)
+    X = d.design.copy()
+    if design == "duplicated":
+        X[:, 3] = X[:, 0]
+    return glm.Dataset(X, d.response, family, intercept=design != "plain")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

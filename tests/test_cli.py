@@ -52,6 +52,18 @@ def extreme_csv(tmp_path):
     return path
 
 
+@pytest.fixture
+def huge_csv(tmp_path):
+    """x near 1e160: the weighted one-step design overflows once an intercept is fit."""
+    rng = np.random.default_rng(0)
+    X = 1e160 * rng.standard_normal((50, 3))
+    y = rng.standard_normal(50)
+    path = tmp_path / "huge.csv"
+    path.write_text("x1,x2,x3,y\n" + "".join(
+        ",".join(repr(float(v)) for v in (*X[i], y[i])) + "\n" for i in range(50)))
+    return path
+
+
 class TestFit:
     def test_lambda_zero_matches_ols(self, runner, toy_csv):
         path, X, y = toy_csv
@@ -420,6 +432,25 @@ def test_non_finite_lambda_max_is_exit_3(runner, extreme_csv, argv):
                                           "--penalty", "log:lambda=1"])
     assert res.exit_code == 3, res.output
     assert "lambda_max is nan" in res.output
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::sparsefit.exceptions.RidgeFallbackWarning")
+@pytest.mark.parametrize("penalty", ["l1:lambda=1", "lq:lambda=1,q=0.5", "log:lambda=1"])
+def test_overflowing_separable_path_is_exit_3(runner, huge_csv, penalty):
+    res = runner.invoke(cli.main, ["path", "--data", str(huge_csv), "--response", "y",
+                                   "--penalty", penalty, "--intercept"])
+    assert res.exit_code == 3, res.output
+    assert "the one-step working problem overflows" in res.output
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["cv"], ["fit", "--cv"]])
+def test_all_infinite_cv_curve_is_exit_3(runner, extreme_csv, argv):
+    res = runner.invoke(cli.main, argv + ["--data", str(extreme_csv), "--response", "y",
+                                          "--penalty", "lq:lambda=1,q=0.5"])
+    assert res.exit_code == 3, res.output
+    assert "no lambda on the grid has a finite cv score" in res.output
 
 
 class TestPath:

@@ -9,7 +9,7 @@ from sparsefit.exceptions import NonConvergence, SingularSystem, SparsefitError
 from sparsefit.lla import _predictor_indices, _result_from_model_vector, penalized_objective
 from sparsefit.penalty import PenaltySpec
 
-from conftest import orthonormal_gaussian, random_dataset
+from conftest import design_dataset, orthonormal_gaussian, random_dataset
 
 SCAD2 = PenaltySpec("scad", 2.0, a=3.7)
 
@@ -309,14 +309,6 @@ FAMILIES = ("gaussian", "logistic", "poisson")
 ORACLE_PENALTIES = (("scad", 1.0), ("l1", 1.0), ("log", 0.1), ("lq", 1.0))
 
 
-def _oracle_dataset(family, design):
-    d = random_dataset(40 + FAMILIES.index(family), 40, 5, family)
-    X = d.design.copy()
-    if design == "duplicated":
-        X[:, 3] = X[:, 0]
-    return glm.Dataset(X, d.response, family, intercept=design != "plain")
-
-
 def _oracle_runs(d, step=_oracle_step):
     """(fit, oracle) results of LQA and P-LQA for every penalty at three levels;
     case 2k is LQA and 2k + 1 P-LQA at the k-th penalty."""
@@ -341,7 +333,7 @@ def _oracle_outcomes(d):
 @pytest.mark.parametrize("design", ["plain", "intercept", "duplicated"])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_fits_bit_identical_to_per_iterate_glm_calls(family, design):
-    pairs = _oracle_outcomes(_oracle_dataset(family, design))
+    pairs = _oracle_outcomes(design_dataset(family, design))
     assert len(pairs) == 24
     for i, (got, want) in enumerate(pairs):
         assert got == want, i
@@ -365,7 +357,7 @@ def _agrees_with_newton(got, want):
 
 @pytest.mark.parametrize("design", ["plain", "intercept"])
 def test_gaussian_closed_form_agrees_with_the_ridge_newton_oracle(design):
-    runs = _oracle_runs(_oracle_dataset("gaussian", design), step=_oracle_newton)
+    runs = _oracle_runs(design_dataset("gaussian", design), step=_oracle_newton)
     assert len(runs) == 24
     for i, (got, want) in enumerate(runs):
         assert _agrees_with_newton(got, want), i
@@ -381,7 +373,7 @@ def test_duplicated_gaussian_design_converges_where_ridge_newton_did_not():
     # SCAD at 0.02 and 0.1 x max|b0| (cases 0-3: LQA, P-LQA, LQA, P-LQA): the inner
     # Newton loop ran out of iterations on the near-singular ridge system, while
     # its exact maximizer is one solve
-    runs = _oracle_runs(_oracle_dataset("gaussian", "duplicated"), step=_oracle_newton)
+    runs = _oracle_runs(design_dataset("gaussian", "duplicated"), step=_oracle_newton)
     for i, (got, want) in enumerate(runs):
         if i < 4:
             assert isinstance(want, NonConvergence), i
@@ -397,7 +389,7 @@ def test_oracle_catches_a_gram_summed_in_another_order(monkeypatch):
     lqa_glm = types.SimpleNamespace(**vars(glm))
     lqa_glm.neg_hessian = lambda d, beta: np.einsum("ij,ik->jk", d.model_matrix, d.model_matrix)
     monkeypatch.setattr(lqa, "glm", lqa_glm)
-    pairs = _oracle_outcomes(_oracle_dataset("gaussian", "intercept"))
+    pairs = _oracle_outcomes(design_dataset("gaussian", "intercept"))
     assert any(got != want for got, want in pairs)
 
 
@@ -406,7 +398,7 @@ def test_oracle_catches_a_gram_summed_in_another_order(monkeypatch):
 def test_gaussian_steps_zero_the_active_ridge_gradient(monkeypatch, design, perturbed):
     # every outer step maximizes the ridge surrogate expanded at the previous iterate:
     # (X^T (y - X beta))_A - 2 c2 beta_A = 0 on the active block A, and beta is 0 off it
-    d = _oracle_dataset("gaussian", design)
+    d = design_dataset("gaussian", design)
     b0 = glm.fit_mle(d)
     pred = list(_predictor_indices(d))
     top = float(np.max(np.abs(b0[pred])))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsefit import sim
+from sparsefit import jsonio, sim
 from sparsefit.exceptions import NonConvergence
 from sparsefit.lla import FitResult
 from sparsefit.penalty import PenaltySpec
@@ -263,15 +263,15 @@ class TestRunScenario:
 
     def test_byte_identical_reports_across_threads(self):
         spec = tiny_spec(methods=("one-step:scad", "bic"), reps=5, n=40, seed=2)
-        serial = sim.report_json(sim.run_scenario(spec, threads=1))
-        parallel = sim.report_json(sim.run_scenario(spec, threads=2))
+        serial = jsonio.dumps(sim.run_scenario(spec, threads=1).to_dict())
+        parallel = jsonio.dumps(sim.run_scenario(spec, threads=2).to_dict())
         assert serial == parallel
 
     def test_bic_tuned_reports_byte_identical_across_threads(self):
         spec = tiny_spec(methods=("one-step:scad", "one-step:log"), reps=5, n=40, seed=2,
                          tuning="bic")
-        serial = sim.report_json(sim.run_scenario(spec, threads=1))
-        parallel = sim.report_json(sim.run_scenario(spec, threads=2))
+        serial = jsonio.dumps(sim.run_scenario(spec, threads=1).to_dict())
+        parallel = jsonio.dumps(sim.run_scenario(spec, threads=2).to_dict())
         assert serial == parallel
         assert '"failures": 0,' in serial
 
@@ -301,8 +301,8 @@ class TestRunScenario:
 
     def test_repeat_runs_identical(self):
         spec = tiny_spec(methods=("one-step:log",), reps=4, n=40, seed=3)
-        a = sim.report_json(sim.run_scenario(spec))
-        b = sim.report_json(sim.run_scenario(spec))
+        a = jsonio.dumps(sim.run_scenario(spec).to_dict())
+        b = jsonio.dumps(sim.run_scenario(spec).to_dict())
         assert a == b
 
     def test_table_formatting(self):
@@ -374,6 +374,23 @@ class TestRefitFallback:
         assert rep.failures == 2
         assert rep.failure_messages[0] == "failed: NonConvergence: no fit at 2.0"
         assert calls == [2.0, 1.0, 0.25, 4.0] * 2  # never the +inf point
+
+    def test_replication_with_no_finite_score_is_a_recorded_failure(self, monkeypatch):
+        real = sim.methods.fit
+
+        def fit(method, *args, **kwargs):  # every LQA grid fit fails: its scores are +inf
+            if method == "lqa":
+                raise NonConvergence("stub failure")
+            return real(method, *args, **kwargs)
+
+        monkeypatch.setattr(sim.methods, "fit", fit)
+        rep = sim.run_scenario(tiny_spec(methods=("one-step:scad", "lqa:scad"), reps=2))
+        # the whole replication is lost, the one-step row with it
+        assert rep.failures == 2 and rep.replications_used == 0
+        assert rep.failure_messages == (
+            "failed: DataError: no lambda on the grid has a finite cv score",) * 2
+        assert '"failures": 2,' in jsonio.dumps(rep.to_dict())
+        assert "One-step SCAD" in sim.format_table(rep)
 
     def test_lqa_replication_whose_chosen_refit_does_not_converge(self):
         # at lambda* the full-data LQA refit of this replication does not converge

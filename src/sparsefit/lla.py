@@ -115,17 +115,17 @@ def _column_projector(X):
 
 def _scad_split(d: glm.Dataset, b0, p: PenaltySpec):
     """SCAD split at b0: U (intercept, zero derivative), V, and the scales
-    lambda / p'_lam(|b0_j|) of the V columns (1 elsewhere)."""
-    scales = np.ones(d.n_coef)
-    u_set, v_set = ([0] if d.intercept else []), []
+    lambda / p'_lam(|b0_j|) of the V columns, in V's order."""
+    u_set, v_set, v_scales = ([0] if d.intercept else []), [], []
+    t = np.abs(b0).tolist()  # Python floats: cheap enough for every path point
     for j in _predictor_indices(d):
-        dj = penalty.derivative(p, abs(b0[j]))
+        dj = penalty.derivative(p, t[j])
         if dj == 0.0:
             u_set.append(j)
         else:
             v_set.append(j)
-            scales[j] = p.lam / dj
-    return u_set, v_set, scales
+            v_scales.append(p.lam / dj)
+    return u_set, v_set, np.array(v_scales)
 
 
 def _scad_one_step(d: glm.Dataset, b0, p: PenaltySpec):
@@ -136,9 +136,9 @@ def _scad_one_step(d: glm.Dataset, b0, p: PenaltySpec):
     M = d.model_matrix
     sqrt_d = np.sqrt(glm.curvature_weights(d, b0))
     ystar = sqrt_d * (M @ b0)
-    u_set, v_set, scales = _scad_split(d, b0, p)
+    u_set, v_set, s_v = _scad_split(d, b0, p)
     Xstar = sqrt_d[:, None] * M
-    Xstar[:, v_set] *= scales[v_set]
+    Xstar[:, v_set] *= s_v
     Xv = Xstar[:, v_set]
     Q = _column_projector(Xstar[:, u_set])
     prob = wlasso.WlassoProblem(
@@ -147,7 +147,7 @@ def _scad_one_step(d: glm.Dataset, b0, p: PenaltySpec):
     beta_v = wlasso.solve(prob, tol=TOL).beta
     beta = np.zeros(d.n_coef)
     beta[u_set] = np.linalg.lstsq(Xstar[:, u_set], ystar - Xv @ beta_v, rcond=None)[0]
-    beta[v_set] = beta_v * scales[v_set]
+    beta[v_set] = beta_v * s_v
     return beta
 
 
@@ -345,9 +345,10 @@ def _path_point(d, beta, lam):  # None where the coefficients overflowed
 def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None):
     """One-step fits along a descending lambda grid, warm-started.
 
-    Separable penalties share a single working problem across the grid; the
-    SCAD route is re-solved per grid point (its U/V split changes with
-    lambda) in the Gram domain so the per-point cost does not grow with n.
+    Separable penalties share one working problem and its Gram matrix across
+    the grid (:class:`DataError` if that overflows).  SCAD is re-solved per
+    point in the Gram domain, so the cost does not grow with n: H's U and V
+    blocks are taken once per U/V split, and an empty block's solves skipped.
     Entries carry no objective trace (``objective_trace == ()``); entries
     that fail to fit, or whose coefficients are not finite, are None.
     """
@@ -363,8 +364,7 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None):
 
     if p.family != "scad":
         prob, scales = _separable_problem(d, b0, p)
-        G = prob.wdesign.T @ prob.wdesign
-        bvec = prob.wdesign.T @ prob.wresponse
+        G, bvec = wlasso.gram(prob)
         out = []
         warm = None
         for lam in grid:
@@ -379,26 +379,30 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None):
     H = glm.neg_hessian(d, b0)
     bvec = H @ b0
     out = []
-    prev_beta = None
-    # An empty U or V block takes the same lines: a 0 x 0 solve and an empty
-    # product subtract 0.0, which leaves every float as it is.  s > 0 on V.
+    prev_beta = split = None
+    # s = 1 on U, so only products with a V side change with lambda; an empty
+    # U or V block would only subtract 0.0 from the other.  s > 0 on V.
     for lam in grid:
         try:
-            u_idx, v_idx, s = _scad_split(d, b0, PenaltySpec("scad", float(lam), a=p.a))
-            Gs = (s[:, None] * H) * s[None, :]
-            bs = s * bvec
-            Gu, Gv = Gs.take(u_idx, 0), Gs.take(v_idx, 0)  # take: a cheaper np.ix_
-            psolve = _psolver(Gu.take(u_idx, 1))
-            Gvu = Gv.take(u_idx, 1)
-            K = psolve(np.column_stack([Gvu.T, bs[u_idx]]))
-            warm = None if prev_beta is None else prev_beta[v_idx] / s[v_idx]
-            beta_v, _, _ = wlasso.solve_gram(
-                Gv.take(v_idx, 1) - Gvu @ K[:, :-1], bs[v_idx] - Gvu @ K[:, -1],
-                np.full(len(v_idx), n * lam), tol=TOL, x0=warm
-            )
+            u_idx, v_idx, s_v = _scad_split(d, b0, PenaltySpec("scad", float(lam), a=p.a))
+            if split != (u_idx, v_idx):  # take, a cheaper np.ix_, once per split
+                split = (u_idx, v_idx)
+                Huu, Huv, Hvu, Hvv = (H.take(r, 0).take(c, 1) for r in split for c in split)
+                b_u, b_v = bvec.take(u_idx), bvec.take(v_idx)
+            psolve = _psolver(Huu)
             beta = np.zeros(d.n_coef)
-            beta[u_idx] = psolve(bs[u_idx] - Gu.take(v_idx, 1) @ beta_v)
-            beta[v_idx] = beta_v * s[v_idx]
+            if v_idx:
+                Gvv, bs_v = (s_v[:, None] * Hvv) * s_v, s_v * b_v
+                if u_idx:
+                    Gvu = s_v[:, None] * Hvu
+                    K = psolve(np.column_stack([Gvu.T, b_u]))
+                    Gvv, bs_v = Gvv - Gvu @ K[:, :-1], bs_v - Gvu @ K[:, -1]
+                warm = None if prev_beta is None else prev_beta[v_idx] / s_v
+                beta_v = wlasso.solve_gram(Gvv, bs_v, np.full(len(v_idx), n * lam),
+                                           tol=TOL, x0=warm)[0]
+                beta[v_idx] = beta_v * s_v
+            if u_idx:
+                beta[u_idx] = psolve(b_u - (Huv * s_v) @ beta_v if v_idx else b_u)
             prev_beta = beta
             out.append(_path_point(d, beta, lam))
         except (NonConvergence, np.linalg.LinAlgError):

@@ -5,11 +5,9 @@ at one lambda, :func:`select_lambda` tunes lambda with that method's fits,
 and :func:`tune_and_fit` does both.
 """
 
-import math
 from dataclasses import replace
 
 from . import glm, lla, lqa, tuning
-from .exceptions import DataError
 
 METHODS = ("one_step", "k_step", "full_lla", "lqa", "plqa")
 
@@ -42,7 +40,7 @@ def select_lambda(method, d, proto, b0=None, n_lambda=tuning.DEFAULT_N_LAMBDA,
     The one-step method is fit along its path; the others once per grid
     point from one MLE of the training data (``b0`` itself when the
     selector fits all of ``d``), with ``opts`` (k, eps0, tau0), ``trace=False``
-    and a solver failure read as a None fit.  Raises
+    and a solver failure read as a None fit.  The selector raises
     :class:`DataError` when no grid point has a finite score.
     """
     if b0 is None:
@@ -65,14 +63,10 @@ def select_lambda(method, d, proto, b0=None, n_lambda=tuning.DEFAULT_N_LAMBDA,
             return out
 
     if selector == "cv":
-        lam_star, curve = tuning.cv_select(d, fitter, grid, folds, seed)
-    elif selector == "bic":
-        lam_star, curve = tuning.bic_select(d, fitter, grid)
-    else:
-        raise ValueError(f"selector must be cv or bic, got {selector!r}")
-    if not any(score < math.inf for _, score in curve):
-        raise DataError(f"no lambda on the grid has a finite {selector} score")
-    return lam_star, curve
+        return tuning.cv_select(d, fitter, grid, folds, seed)
+    if selector == "bic":
+        return tuning.bic_select(d, fitter, grid)
+    raise ValueError(f"selector must be cv or bic, got {selector!r}")
 
 
 def tune_and_fit(method, d, proto, b0=None, n_lambda=tuning.DEFAULT_N_LAMBDA,

@@ -65,8 +65,8 @@ def cv_select(d: glm.Dataset, fitter, lambda_grid, k: int = DEFAULT_FOLDS,
     Returns ``(lambda_star, cv_curve)`` where the curve is a list of
     ``(lambda, mean loss)`` pairs in grid order and lambda_star is the first
     of :func:`preferred_lambdas` (ties go to the larger lambda, the sparser
-    model).  The whole computation is a pure function of (dataset, grid, k,
-    seed).
+    model); raises :class:`DataError` when no grid point has a finite loss.
+    The whole computation is a pure function of (dataset, grid, k, seed).
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0:
@@ -94,15 +94,23 @@ def cv_select(d: glm.Dataset, fitter, lambda_grid, k: int = DEFAULT_FOLDS,
             else:
                 losses[f, i] = validation_loss(val, _model_vector(d, fit))
     curve = [(float(lam), float(np.mean(losses[:, i]))) for i, lam in enumerate(grid)]
-    return preferred_lambdas(curve)[0], curve
+    return _lambda_star(curve, "cv"), curve
 
 
 def preferred_lambdas(curve):
     """Lambdas of a ``(lambda, score)`` curve, most preferred first: lowest
-    score, ties to the larger lambda, no point scored +inf or NaN; with none
-    left, the largest lambda.  The first is lambda*, the rest refit fallbacks."""
+    score, ties to the larger lambda, no point scored +inf or NaN.  The first
+    is lambda*, the rest refit fallbacks."""
     ranked = sorted((score, -lam) for lam, score in curve if score < math.inf)
-    return [-neg_lam for _, neg_lam in ranked] or [max(lam for lam, _ in curve)]
+    return [-neg_lam for _, neg_lam in ranked]
+
+
+def _lambda_star(curve, selector):
+    """The first of :func:`preferred_lambdas`; :class:`DataError` if none."""
+    preferred = preferred_lambdas(curve)
+    if not preferred:
+        raise DataError(f"no lambda on the grid has a finite {selector} score")
+    return preferred[0]
 
 
 def _bic_score(d: glm.Dataset, fit) -> float:
@@ -140,4 +148,4 @@ def bic_select(d: glm.Dataset, fitter, lambda_grid):
         (float(lam), math.inf if fit is None else _bic_score(d, fit))
         for lam, fit in zip(grid, fits)
     ]
-    return preferred_lambdas(curve)[0], curve
+    return _lambda_star(curve, "bic"), curve

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NonConvergence
+from .exceptions import DataError, NonConvergence
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_SWEEPS = 10_000
@@ -165,32 +165,33 @@ def solve_gram(G, b, weights, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS, x0
     """Coordinate descent given Gram matrix G = X^T X and b = X^T y.
 
     Infinite weights are removed before iteration (their coordinates are
-    exact zeros by construction).  Iterates until the largest per-sweep
-    coefficient change is at most ``tol`` and the stationarity residual is
-    at most ``10 * tol``.  Returns ``(beta, kkt_residual, sweeps)``.
+    exact zeros by construction; with none, nothing is indexed or copied).
+    Iterates until the largest per-sweep coefficient change is at most
+    ``tol`` and the stationarity residual is at most ``10 * tol``, which a
+    non-finite gradient never is.  Returns ``(beta, kkt_residual, sweeps)``.
     """
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
-    w_full = np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     p = b.shape[0]
-    beta_full = np.zeros(p)
-    finite = np.isfinite(w_full)
-    if not np.any(finite):
-        return beta_full, 0.0, 0
-    keep = np.where(finite)[0]
-    Gk = np.ascontiguousarray(G if keep.shape[0] == p else G[np.ix_(keep, keep)])
-    bk = b[keep]
-    gjj = np.diag(Gk).copy()
-    m = keep.shape[0]
+    finite = np.isfinite(w)
+    if not finite.any():
+        return np.zeros(p), 0.0, 0
+    keep = slice(None)  # every weight finite: no index arrays, no copies
+    if not finite.all():
+        keep = np.flatnonzero(finite)
+        G, b, w = G[np.ix_(keep, keep)], b[keep], w[keep]
+    G = np.ascontiguousarray(G)
+    gjj = np.diag(G)
+    m = gjj.shape[0]
     beta = np.zeros(m)
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        beta = x0[keep].copy()
+        beta = np.array(np.asarray(x0)[keep], dtype=float)
         beta[gjj <= 0.0] = 0.0
-    c = (bk - Gk @ beta).tolist()
+    c = (b - G @ beta).tolist()
     beta = beta.tolist()
-    cols = Gk.T.tolist()
-    w = w_full[keep].tolist()
+    cols = G.T.tolist()
+    w = w.tolist()
     gjj = gjj.tolist()
 
     all_idx = range(m)
@@ -200,9 +201,11 @@ def solve_gram(G, b, weights, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS, x0
         maxd = _sweep(cols, c, w, beta, gjj, all_idx)
         sweeps += 1
         if maxd <= tol:
-            c = (bk - Gk @ np.array(beta)).tolist()  # refresh: incremental updates drift
-            kkt = _kkt_from_grad(c, w, beta)
-            if kkt <= 10.0 * tol:
+            g = b - G @ np.array(beta)  # refresh: incremental updates drift
+            c = g.tolist()
+            # _kkt_from_grad skips NaN entries, so a non-finite gradient reads NaN
+            kkt = _kkt_from_grad(c, w, beta) if np.isfinite(g).all() else np.nan
+            if not kkt > 10.0 * tol:  # certified, or NaN (raised below)
                 break
             continue
         # active-set refinement between full sweeps
@@ -217,32 +220,42 @@ def solve_gram(G, b, weights, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS, x0
     else:
         raise NonConvergence(
             f"coordinate descent did not converge in {max_sweeps} sweeps",
-            result=_expand(beta_full, keep, beta),
+            result=_expand(p, keep, beta),
         )
     if not kkt <= 10.0 * tol:
         raise NonConvergence(
             f"coordinate descent stalled with KKT residual {kkt:g}",
-            result=_expand(beta_full, keep, beta),
+            result=_expand(p, keep, beta),
         )
-    return _expand(beta_full, keep, beta), float(kkt), sweeps
+    return _expand(p, keep, beta), float(kkt), sweeps
 
 
-def _expand(template, keep, beta):
-    out = template.copy()
+def _expand(p, keep, beta):
+    out = np.zeros(p)
     out[keep] = beta
     return out
+
+
+def gram(prob: WlassoProblem):
+    """G = X^T X and b = X^T y; raises :class:`DataError` if either overflows."""
+    X = prob.wdesign
+    G, b = X.T @ X, X.T @ prob.wresponse
+    if not (np.isfinite(G).all() and np.isfinite(b).all()):
+        raise DataError("the weighted lasso's Gram matrix overflows: "
+                        "the data's scale is out of range")
+    return G, b
 
 
 def solve(prob: WlassoProblem, tol: float = DEFAULT_TOL,
           max_sweeps: int = DEFAULT_MAX_SWEEPS, x0=None) -> WlassoSolution:
     """Solve the weighted-L1 problem to stationarity.
 
-    Raises :class:`NonConvergence` after ``max_sweeps`` coordinate sweeps.
+    Raises :class:`NonConvergence` after ``max_sweeps`` coordinate sweeps, or
+    :class:`DataError` when the Gram matrix overflows.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    G = prob.wdesign.T @ prob.wdesign
-    b = prob.wdesign.T @ prob.wresponse
+    G, b = gram(prob)
     beta, kkt, _ = solve_gram(G, b, prob.weights, tol, max_sweeps, x0)
     return WlassoSolution(beta, objective(prob, beta), kkt)
 

@@ -54,7 +54,8 @@ def extreme_csv(tmp_path):
 
 @pytest.fixture
 def huge_csv(tmp_path):
-    """x near 1e160: the weighted one-step design overflows once an intercept is fit."""
+    """x near 1e160: the weighted one-step design overflows once an intercept is
+    fit, and its Gram matrix X^T X overflows without one."""
     rng = np.random.default_rng(0)
     X = 1e160 * rng.standard_normal((50, 3))
     y = rng.standard_normal(50)
@@ -442,6 +443,17 @@ def test_overflowing_separable_path_is_exit_3(runner, huge_csv, penalty):
                                    "--penalty", penalty, "--intercept"])
     assert res.exit_code == 3, res.output
     assert "the one-step working problem overflows" in res.output
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["fit", "--penalty", "l1:lambda=1"],
+                                  ["fit", "--penalty", "scad:lambda=1"],
+                                  ["path", "--penalty", "l1:lambda=1"]])
+def test_overflowing_gram_matrix_is_exit_3(runner, huge_csv, argv):
+    # no intercept: the working design stays finite, but X^T X overflows
+    res = runner.invoke(cli.main, argv + ["--data", str(huge_csv), "--response", "y"])
+    assert res.exit_code == 3, res.output
+    assert "the weighted lasso's Gram matrix overflows" in res.output
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sparsefit import glm, lla, penalty, tuning, wlasso
-from sparsefit.exceptions import FamilyMismatch, SingularProjectionWarning
+from sparsefit.exceptions import FamilyMismatch, NonConvergence, SingularProjectionWarning
 from sparsefit.penalty import PenaltySpec
 
-from conftest import orthonormal_gaussian, random_dataset
+from conftest import design_dataset, orthonormal_gaussian, random_dataset
 
 SCAD2 = PenaltySpec("scad", 2.0, a=3.7)
 
@@ -323,3 +325,88 @@ class TestSeparableRoute:
             assert np.array_equal(single.coefficients, point.coefficients)
             assert point.objective_trace == ()
             assert len(single.objective_trace) == 2
+
+
+def per_point_scad_path(d, pen, grid, b0):
+    """The SCAD path with one straight-line block per grid point: the split,
+    the whole scaled Gram matrix s H s, a K solve, coordinate descent and a
+    back-solve at every point, empty blocks included (a 0 x 0 solve and an
+    empty product subtract 0.0).  Returns the fits and the (U, V) splits."""
+    H = glm.neg_hessian(d, b0)
+    bvec = H @ b0
+    out, splits = [], []
+    prev_beta = None
+    for lam in grid:
+        try:
+            spec = PenaltySpec("scad", float(lam), a=pen.a)
+            s = np.ones(d.n_coef)
+            u_idx, v_idx = ([0] if d.intercept else []), []
+            for j in lla._predictor_indices(d):
+                dj = penalty.derivative(spec, abs(b0[j]))
+                if dj == 0.0:
+                    u_idx.append(j)
+                else:
+                    v_idx.append(j)
+                    s[j] = spec.lam / dj
+            splits.append((u_idx, v_idx))
+            Gs = (s[:, None] * H) * s[None, :]
+            bs = s * bvec
+            Gu, Gv = Gs.take(u_idx, 0), Gs.take(v_idx, 0)
+            psolve = lla._psolver(Gu.take(u_idx, 1))
+            Gvu = Gv.take(u_idx, 1)
+            K = psolve(np.column_stack([Gvu.T, bs[u_idx]]))
+            warm = None if prev_beta is None else prev_beta[v_idx] / s[v_idx]
+            beta_v, _, _ = wlasso.solve_gram(
+                Gv.take(v_idx, 1) - Gvu @ K[:, :-1], bs[v_idx] - Gvu @ K[:, -1],
+                np.full(len(v_idx), d.n * lam), tol=lla.TOL, x0=warm
+            )
+            beta = np.zeros(d.n_coef)
+            beta[u_idx] = psolve(bs[u_idx] - Gu.take(v_idx, 1) @ beta_v)
+            beta[v_idx] = beta_v * s[v_idx]
+            prev_beta = beta
+            out.append(lla._path_point(d, beta, lam))
+        except (NonConvergence, np.linalg.LinAlgError):
+            out.append(None)
+    return out, splits
+
+
+def _scad_path_cases():
+    for family in glm.FAMILIES:
+        for design in ("plain", "intercept", "duplicated"):
+            yield f"{family}-{design}", design_dataset(family, design)
+    rng = np.random.default_rng(0)  # x near 1e160: the Gram matrix overflows
+    yield "overflow", glm.Dataset(1e160 * rng.standard_normal((50, 3)),
+                                  rng.standard_normal(50), "gaussian")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::sparsefit.exceptions.RidgeFallbackWarning")
+def test_scad_path_bytes_match_per_point_oracle():
+    seen = set()
+    for name, d in _scad_path_cases():
+        b0 = glm.fit_mle(d)
+        lam_max = lla.one_step_lambda_max(d, SCAD2, b0=b0)
+        if name == "overflow":
+            grid = np.geomspace(1e305, 1e-300, 61)
+        else:  # from all of V at lambda_max down past every |b0_j| / a: all of U
+            grid = np.geomspace(2.0 * lam_max, 1e-9 * lam_max, 80)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always", SingularProjectionWarning)
+            want, splits = per_point_scad_path(d, SCAD2, grid, b0)
+            n_want = len(record)
+            got = lla.one_step_path(d, SCAD2, grid, b0=b0)
+        warned = [issubclass(w.category, SingularProjectionWarning) for w in record]
+        assert sum(warned[n_want:]) == sum(warned[:n_want]), name
+        assert [f is None for f in got] == [f is None for f in want], name
+        for g, w in zip(got, want):
+            if w is not None:
+                assert g.coefficients.tobytes() == w.coefficients.tobytes(), name
+                assert np.float64(g.intercept or 0.0).tobytes() == \
+                    np.float64(w.intercept or 0.0).tobytes(), name
+                assert (g.support, g.lam) == (w.support, w.lam), name
+        seen |= {"empty U" for u, _ in splits if not u}
+        seen |= {"empty V" for _, v in splits if not v}
+        seen |= {"U and V" for u, v in splits if u and v}
+        seen |= {"singular U"} if any(warned) else set()
+        seen |= {"None"} if any(f is None for f in want) else set()
+    assert seen == {"empty U", "empty V", "U and V", "singular U", "None"}

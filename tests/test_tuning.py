@@ -16,6 +16,11 @@ def zero_fitter(train, grid):
     return [zero for _ in grid]
 
 
+def fails_at_two(train, grid):
+    """zero_fitter, except that the fit at lambda = 2 fails."""
+    return [None if lam == 2.0 else fit for lam, fit in zip(grid, zero_fitter(train, grid))]
+
+
 def one_step_fitter(pen):
     def fitter(train, grid):
         return lla.one_step_path(train, pen, grid)
@@ -98,23 +103,30 @@ class TestCvSelect:
 
     def test_failed_pairs_get_infinite_loss(self):
         d = random_dataset(8, 30, 3)
+        lam, curve = tuning.cv_select(d, fails_at_two, [2.0, 1.0], seed=0)
+        assert np.isinf(curve[0][1]) and np.isfinite(curve[1][1])
+        assert lam == 1.0
 
         def flaky(train, grid):
             return [None for _ in grid]
 
-        lam, curve = tuning.cv_select(d, flaky, [2.0, 1.0], seed=0)
-        assert all(np.isinf(loss) for _, loss in curve)
-        assert lam == 2.0  # ties at +inf still resolve toward larger lambda
+        with pytest.raises(DataError, match="no lambda on the grid has a finite cv score"):
+            tuning.cv_select(d, flaky, [2.0, 1.0], seed=0)
 
     def test_solver_failure_scores_fold_infinite(self):
         d = random_dataset(8, 30, 3)
+        calls = []
 
-        def diverges(train, grid):
-            raise NonConvergence("budget exhausted")
+        def fails_once(train, grid):
+            calls.append(train.n)
+            if len(calls) == 1:
+                raise NonConvergence("budget exhausted")
+            return zero_fitter(train, grid)
 
-        lam, curve = tuning.cv_select(d, diverges, [2.0, 1.0], seed=0)
-        assert all(np.isinf(loss) for _, loss in curve)
-        assert lam == 2.0
+        # one +inf fold makes every mean loss +inf, so no lambda is left
+        with pytest.raises(DataError, match="finite cv score"):
+            tuning.cv_select(d, fails_once, [2.0, 1.0], seed=0)
+        assert len(calls) == tuning.DEFAULT_FOLDS
 
     def test_programming_errors_propagate(self):
         d = random_dataset(8, 30, 3)
@@ -179,13 +191,15 @@ class TestBicSelect:
 
     def test_failed_points_get_infinite_score(self):
         d = random_dataset(8, 30, 3)
+        lam, curve = tuning.bic_select(d, fails_at_two, [2.0, 1.0])
+        assert np.isinf(curve[0][1]) and np.isfinite(curve[1][1])
+        assert lam == 1.0
 
         def flaky(train, grid):
             return [None for _ in grid]
 
-        lam, curve = tuning.bic_select(d, flaky, [2.0, 1.0])
-        assert all(np.isinf(score) for _, score in curve)
-        assert lam == 2.0
+        with pytest.raises(DataError, match="no lambda on the grid has a finite bic score"):
+            tuning.bic_select(d, flaky, [2.0, 1.0])
 
     def test_solver_failure_scores_whole_grid_infinite(self):
         d = random_dataset(8, 30, 3)
@@ -193,9 +207,8 @@ class TestBicSelect:
         def diverges(train, grid):
             raise NonConvergence("budget exhausted")
 
-        lam, curve = tuning.bic_select(d, diverges, [2.0, 1.0])
-        assert all(np.isinf(score) for _, score in curve)
-        assert lam == 2.0
+        with pytest.raises(DataError, match="finite bic score"):
+            tuning.bic_select(d, diverges, [2.0, 1.0])
 
     def test_programming_errors_propagate(self):
         d = random_dataset(8, 30, 3)
@@ -252,8 +265,8 @@ class TestPreferredLambdas:
         ([(0.25, 0.7), (1.0, 0.5), (4.0, 1.0), (2.0, 0.5)], [2.0, 1.0, 0.25, 4.0]),
         # a NaN score is never preferred, not even at the largest lambda
         ([(4.0, math.nan), (2.0, 3.0), (1.0, 2.0)], [1.0, 2.0]),
-        # nothing finite: the largest lambda alone
-        ([(1.0, math.inf), (3.0, math.inf), (2.0, math.nan)], [3.0]),
+        # nothing finite: nothing preferred (the selectors raise DataError)
+        ([(1.0, math.inf), (3.0, math.inf), (2.0, math.nan)], []),
     ])
     def test_order(self, curve, expected):
         assert tuning.preferred_lambdas(curve) == expected

@@ -89,6 +89,10 @@ class TestExamples:
         assert np.all(sol.beta == 0.0)
         assert sol.kkt_residual == 0.0
 
+    def test_empty_problem_takes_no_sweep(self):
+        beta, kkt, sweeps = wlasso.solve_gram(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+        assert beta.shape == (0,) and kkt == 0.0 and sweeps == 0
+
 
 class TestCertifyKkt:
     def test_zero_at_optimum(self):
@@ -383,3 +387,13 @@ def test_certify_kkt_bit_identical_to_numpy_loop():
             g = prob.wdesign.T @ (prob.wresponse - prob.wdesign @ beta)
             want = float(_np_kkt_from_grad(g, prob.weights, beta))
             assert wlasso.certify_kkt(prob, beta) == want, seed
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("G", [[[np.inf]], [[1.0, np.inf], [np.inf, 1.0]]])
+def test_non_finite_gradient_is_not_certified(G):
+    # beta stays 0, so the refreshed gradient b - G beta holds inf * 0 = NaN,
+    # which the KKT residual alone would skip
+    b = np.full(len(G), 0.5)
+    with pytest.raises(NonConvergence, match="KKT residual nan"):
+        wlasso.solve_gram(G, b, np.ones(len(G)))

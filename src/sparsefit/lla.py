@@ -49,7 +49,7 @@ class FitResult:
         coef = np.array(self.coefficients, dtype=float, copy=True)
         coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "support", tuple(int(j) for j in self.support))
+        object.__setattr__(self, "support", tuple(map(int, self.support)))
 
 
 def _predictor_indices(d: glm.Dataset):
@@ -116,16 +116,24 @@ def _column_projector(X):
 def _scad_split(d: glm.Dataset, b0, p: PenaltySpec):
     """SCAD split at b0: U (intercept, zero derivative), V, and the scales
     lambda / p'_lam(|b0_j|) of the V columns, in V's order."""
-    u_set, v_set, v_scales = ([0] if d.intercept else []), [], []
-    t = np.abs(b0).tolist()  # Python floats: cheap enough for every path point
-    for j in _predictor_indices(d):
-        dj = penalty.derivative(p, t[j])
-        if dj == 0.0:
-            u_set.append(j)
-        else:
-            v_set.append(j)
-            v_scales.append(p.lam / dj)
-    return u_set, v_set, np.array(v_scales)
+    ((u_set, v_set), v_scales), = _scad_splits(d, b0, [p.lam], p.a)
+    return u_set.tolist(), v_set.tolist(), v_scales
+
+
+def _scad_splits(d: glm.Dataset, b0, grid, a):
+    """``((U, V), V scales)`` at b0 for each lambda of ``grid``, from one
+    derivative table.  U and V are index arrays, and the same pair of arrays
+    while the split stays the same."""
+    table = penalty.scad_derivatives(grid, np.abs(b0), a)
+    if d.intercept:
+        table[:, 0] = 0.0
+    zero = table == 0.0
+    scales = np.asarray(grid, dtype=float)[:, None] / np.where(zero, 1.0, table)  # U's go unread
+    changed = [True] + (zero[1:] != zero[:-1]).any(axis=1).tolist()
+    for row, s, new in zip(zero, scales, changed):
+        if new:
+            split = np.flatnonzero(row), np.flatnonzero(~row)
+        yield split, s[split[1]]
 
 
 def _scad_one_step(d: glm.Dataset, b0, p: PenaltySpec):
@@ -153,7 +161,7 @@ def _scad_one_step(d: glm.Dataset, b0, p: PenaltySpec):
 
 def _result_from_model_vector(d, beta_model, lam, method, trace, iterations, converged=True):
     coef, intercept = d.split_coefficients(beta_model)
-    support = tuple(int(j) for j in np.flatnonzero(coef))
+    support = tuple(coef.nonzero()[0].tolist())
     return FitResult(coef, support, float(lam), method, tuple(trace), iterations, intercept, converged)
 
 
@@ -324,8 +332,9 @@ def one_step_lambda_max(d: glm.Dataset, p: PenaltySpec, b0=None) -> float:
     # SCAD: for lambda >= max |b0_j| every predictor weight is n*lambda, so
     # the all-zero threshold is the larger of that bound and the usual
     # correlation bound on the unscaled working data.
-    H = glm.neg_hessian(d, b0)
-    bvec = H @ b0
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN bound is DataError downstream
+        H = glm.neg_hessian(d, b0)
+        bvec = H @ b0
     pred = list(_predictor_indices(d))
     if d.intercept:
         h00 = H[0, 0]
@@ -347,8 +356,10 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None):
 
     Separable penalties share one working problem and its Gram matrix across
     the grid (:class:`DataError` if that overflows).  SCAD is re-solved per
-    point in the Gram domain, so the cost does not grow with n: H's U and V
-    blocks are taken once per U/V split, and an empty block's solves skipped.
+    point in the Gram domain, so the cost does not grow with n: the splits
+    come from one derivative table, H's U and V blocks are taken once per
+    split, and an empty block's solves skipped.  A grid that is not strictly
+    descending, or has a negative or non-finite lambda, is a ValueError.
     Entries carry no objective trace (``objective_trace == ()``); entries
     that fail to fit, or whose coefficients are not finite, are None.
     """
@@ -357,17 +368,19 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None):
         raise ValueError("lambda grid must be a nonempty vector")
     if np.any(np.diff(grid) >= 0.0):
         raise ValueError("lambda grid must be strictly descending")
+    if not ((0.0 <= grid) & (grid < np.inf)).all():
+        raise ValueError("lambda must be finite and nonnegative")
     if b0 is None:
         b0 = glm.fit_mle(d)
     b0 = np.asarray(b0, dtype=float)
-    n = d.n
+    n, n_coef = d.n, d.n_coef
 
     if p.family != "scad":
         prob, scales = _separable_problem(d, b0, p)
         G, bvec = wlasso.gram(prob)
         out = []
         warm = None
-        for lam in grid:
+        for lam in grid.tolist():
             try:
                 warm, _, _ = wlasso.solve_gram(G, bvec, _level_weights(prob.weights, lam),
                                                tol=TOL, x0=warm)
@@ -382,27 +395,27 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None):
     prev_beta = split = None
     # s = 1 on U, so only products with a V side change with lambda; an empty
     # U or V block would only subtract 0.0 from the other.  s > 0 on V.
-    for lam in grid:
+    for lam, (point_split, s_v) in zip(grid.tolist(), _scad_splits(d, b0, grid, p.a)):
         try:
-            u_idx, v_idx, s_v = _scad_split(d, b0, PenaltySpec("scad", float(lam), a=p.a))
-            if split != (u_idx, v_idx):  # take, a cheaper np.ix_, once per split
-                split = (u_idx, v_idx)
+            if point_split is not split:  # take, a cheaper np.ix_, once per split
+                split = point_split
+                u_idx, v_idx = split
                 Huu, Huv, Hvu, Hvv = (H.take(r, 0).take(c, 1) for r in split for c in split)
                 b_u, b_v = bvec.take(u_idx), bvec.take(v_idx)
             psolve = _psolver(Huu)
-            beta = np.zeros(d.n_coef)
-            if v_idx:
+            beta = np.zeros(n_coef)
+            if v_idx.size:
                 Gvv, bs_v = (s_v[:, None] * Hvv) * s_v, s_v * b_v
-                if u_idx:
+                if u_idx.size:
                     Gvu = s_v[:, None] * Hvu
-                    K = psolve(np.column_stack([Gvu.T, b_u]))
+                    K = psolve(np.concatenate([Gvu.T, b_u[:, None]], axis=1))
                     Gvv, bs_v = Gvv - Gvu @ K[:, :-1], bs_v - Gvu @ K[:, -1]
                 warm = None if prev_beta is None else prev_beta[v_idx] / s_v
-                beta_v = wlasso.solve_gram(Gvv, bs_v, np.full(len(v_idx), n * lam),
+                beta_v = wlasso.solve_gram(Gvv, bs_v, np.full(v_idx.size, n * lam),
                                            tol=TOL, x0=warm)[0]
                 beta[v_idx] = beta_v * s_v
-            if u_idx:
-                beta[u_idx] = psolve(b_u - (Huv * s_v) @ beta_v if v_idx else b_u)
+            if u_idx.size:
+                beta[u_idx] = psolve(b_u - (Huv * s_v) @ beta_v if v_idx.size else b_u)
             prev_beta = beta
             out.append(_path_point(d, beta, lam))
         except (NonConvergence, np.linalg.LinAlgError):

@@ -174,16 +174,15 @@ def solve_gram(G, b, weights, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS, x0
     b = np.asarray(b, dtype=float)
     w = np.asarray(weights, dtype=float)
     p = b.shape[0]
-    finite = np.isfinite(w)
-    if not finite.any():
-        return np.zeros(p), 0.0, 0
     keep = slice(None)  # every weight finite: no index arrays, no copies
-    if not finite.all():
-        keep = np.flatnonzero(finite)
+    if not np.isfinite(w).all():
+        keep = np.flatnonzero(np.isfinite(w))
         G, b, w = G[np.ix_(keep, keep)], b[keep], w[keep]
+    m = w.shape[0]
+    if m == 0:
+        return np.zeros(p), 0.0, 0
     G = np.ascontiguousarray(G)
-    gjj = np.diag(G)
-    m = gjj.shape[0]
+    gjj = G.diagonal()
     beta = np.zeros(m)
     if x0 is not None:
         beta = np.array(np.asarray(x0)[keep], dtype=float)
@@ -239,7 +238,8 @@ def _expand(p, keep, beta):
 def gram(prob: WlassoProblem):
     """G = X^T X and b = X^T y; raises :class:`DataError` if either overflows."""
     X = prob.wdesign
-    G, b = X.T @ X, X.T @ prob.wresponse
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        G, b = X.T @ X, X.T @ prob.wresponse
     if not (np.isfinite(G).all() and np.isfinite(b).all()):
         raise DataError("the weighted lasso's Gram matrix overflows: "
                         "the data's scale is out of range")

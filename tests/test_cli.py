@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -454,6 +455,21 @@ def test_overflowing_gram_matrix_is_exit_3(runner, huge_csv, argv):
     res = runner.invoke(cli.main, argv + ["--data", str(huge_csv), "--response", "y"])
     assert res.exit_code == 3, res.output
     assert "the weighted lasso's Gram matrix overflows" in res.output
+
+
+@pytest.mark.parametrize("argv", [["fit", "--penalty", "l1:lambda=1"],
+                                  ["path", "--penalty", "l1:lambda=1"],
+                                  ["path", "--penalty", "scad:lambda=1"],
+                                  ["cv", "--penalty", "scad:lambda=1"],
+                                  ["fit", "--cv", "--penalty", "scad:lambda=1"]])
+def test_overflowing_data_exits_3_without_runtime_warnings(runner, huge_csv, argv):
+    # the overflowing products are checked, so numpy's warnings would only
+    # print source lines ahead of the error
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        res = runner.invoke(cli.main, argv + ["--data", str(huge_csv), "--response", "y"])
+    assert res.exit_code == 3, res.output
+    assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -94,6 +94,36 @@ class TestWorkingDataType2:
         assert np.all(np.isfinite(fit.coefficients))
 
 
+def loop_scad_split(d, b0, p):
+    """The SCAD split as one ``penalty.derivative`` call per predictor."""
+    u_set, v_set, v_scales = ([0] if d.intercept else []), [], []
+    for j in lla._predictor_indices(d):
+        dj = penalty.derivative(p, abs(float(b0[j])))
+        if dj == 0.0:
+            u_set.append(j)
+        else:
+            v_set.append(j)
+            v_scales.append(p.lam / dj)
+    return u_set, v_set, np.array(v_scales)
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+def test_scad_split_matches_derivative_loop(intercept):
+    rng = np.random.default_rng(5)
+    d = glm.Dataset(rng.standard_normal((30, 9)), rng.standard_normal(30), "gaussian",
+                    intercept=intercept)
+    lam = 2.0  # |b0_j| on each side of lam and a*lam, on both edges, and NaN
+    edges = [0.0, lam, np.nextafter(lam, 9.0), 3.7 * lam, np.nextafter(3.7 * lam, 0.0)]
+    b0 = np.array([*([1.0] if intercept else []), *edges, -5.0, 30.0, 0.5, np.nan])
+    for p in (PenaltySpec("scad", lam, a=3.7), PenaltySpec("scad", 0.0),
+              PenaltySpec("scad", 0.7, a=2.5), PenaltySpec("scad", 5e-324),
+              PenaltySpec("scad", 1e300)):
+        got, want = lla._scad_split(d, b0, p), loop_scad_split(d, b0, p)
+        assert got[:2] == want[:2]
+        assert all(type(j) is int for j in got[0] + got[1])
+        assert got[2].tobytes() == want[2].tobytes()
+
+
 class TestOneStepOrthonormal:
     def setup_method(self):
         self.z = np.array([8.0, 4.0, 1.0, 0.2])
@@ -287,10 +317,26 @@ class TestPath:
         fit = lla.one_step(d, PenaltySpec("log", 0.98 * lam_max), b0=b0)
         assert fit.support != ()
 
-    def test_grid_validation(self):
+    def test_grid_validation(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before the grid was checked")
+        monkeypatch.setattr(glm, "fit_mle", no_fit)  # every route checks the grid first
         d = random_dataset(0, 10, 2)
-        with pytest.raises(ValueError):
-            lla.one_step_path(d, SCAD2, [0.1, 0.2])
+        for pen in (SCAD2, PenaltySpec("log", 1.0), PenaltySpec("l1", 1.0)):
+            for grid in ([0.1, 0.2], [1.0, 0.5, -0.5], [np.nan], [1.0, np.nan],
+                         [np.inf, 1.0], []):
+                with pytest.raises(ValueError):
+                    lla.one_step_path(d, pen, grid)
+
+    @pytest.mark.parametrize("pen", [SCAD2, PenaltySpec("log", 1.0)])
+    def test_support_is_a_tuple_of_python_ints(self, pen):
+        d = random_dataset(41, 50, 5)
+        fits = lla.one_step_path(d, pen, tuning.default_lambda_grid(
+            lla.one_step_lambda_max(d, pen), 10))
+        assert any(fit.support for fit in fits)
+        for fit in fits:
+            assert type(fit.support) is tuple
+            assert all(type(j) is int for j in fit.support)
 
     @pytest.mark.parametrize("n_points", [1, 3])
     def test_rank_deficient_u_block_warns_once_per_point(self, n_points):

@@ -194,3 +194,23 @@ def test_unit_derivative_matches_scaled_derivative():
             assert penalty.derivative(spec, t) == pytest.approx(
                 spec.lam * penalty.derivative(unit, t), rel=1e-15
             )
+
+
+@pytest.mark.parametrize("a", [3.7, 2.5])
+def test_scad_derivative_table_is_derivative_bit_for_bit(a):
+    # every branch edge of p'_lam, at lambdas down to the smallest subnormal
+    lams = [0.0, 5e-324, 1.0, 1e300]
+    ts = sorted({float(t) for lam in lams for t in (
+        0.0, lam, np.nextafter(lam, np.inf), a * lam, np.nextafter(a * lam, np.inf),
+        np.nextafter(a * lam, -np.inf), 10.0 * a * lam) if t >= 0.0}) + [math.nan]
+    table = penalty.scad_derivatives(lams, np.array(ts), a)
+    assert table.shape == (len(lams), len(ts))
+    # a V coordinate's column scale lambda / p'_lam, divided as arrays
+    scales = np.array(lams)[:, None] / np.where(table == 0.0, 1.0, table)
+    for lam, row, row_scales in zip(lams, table.tolist(), scales.tolist()):
+        spec = PenaltySpec("scad", lam, a=a)
+        for t, got, scale in zip(ts, row, row_scales):
+            want = penalty.derivative(spec, t)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (lam, t)
+            if want != 0.0:
+                assert np.float64(scale).tobytes() == np.float64(lam / want).tobytes()

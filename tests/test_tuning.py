@@ -144,6 +144,18 @@ class TestCvSelect:
         mu = d.design @ beta
         assert loss == pytest.approx(float(np.mean((d.response - mu) ** 2)))
 
+    def test_validation_loss_gaussian_is_np_mean_bit_for_bit(self):
+        d = random_dataset(9, 200, 4)
+        d = glm.Dataset(d.design, 1e3 * d.response, "gaussian", intercept=True)
+        rng = np.random.default_rng(3)
+        for size in [*range(1, 20), 33, 64, 129, 200]:
+            val = d.subset_rows(np.sort(rng.permutation(d.n)[:size]))
+            beta = rng.standard_normal(d.n_coef)
+            mu = glm.linear_predictor(val, beta)
+            want = float(np.mean((val.response - mu) ** 2))
+            assert np.float64(tuning.validation_loss(val, beta)).tobytes() == \
+                np.float64(want).tobytes()
+
     def test_validation_loss_glm_is_mean_nll(self):
         d = random_dataset(10, 20, 2, "logistic")
         beta = np.array([0.5, 0.5])

@@ -12,10 +12,12 @@ later step, of k-step and of full LLA alike, is one weighted lasso of the
 likelihood's IRLS expansion at the current iterate (:func:`_lla_step`).
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import glm, penalty, wlasso
 from .exceptions import DataError, FamilyMismatch, NonConvergence, SingularProjectionWarning
@@ -299,17 +301,27 @@ def full_lla(d: glm.Dataset, p: PenaltySpec, b0=None) -> FitResult:
     raise NonConvergence(f"LLA did not converge in {MAX_ITER} iterations", result=partial)
 
 
+def _lapack_solve(A, B):
+    """``np.linalg.solve(A, B)`` for float64 A (m, m) and B (m,) or (m, k) by the
+    same LAPACK gufunc without numpy's per-call wrapper, so with the same bytes.
+    An empty result, or one led by NaN (gesv fills a singular A's with NaN), is
+    solved again by numpy, which raises its LinAlgError.  The caller holds
+    np.errstate(invalid="ignore") once per loop, or a singular A also warns."""
+    x = (_umath_linalg.solve1 if B.ndim == 1 else _umath_linalg.solve)(A, B, signature="dd->d")
+    return x if x.size and not math.isnan(x.item(0)) else np.linalg.solve(A, B)
+
+
 def _psolver(A):
-    """Solver of A X = B for one symmetric PSD block, pseudo-inverting if
-    needed.  Singularity is decided by the first solve; from then on every
-    right-hand side reuses one pinv(A), so the block warns once."""
+    """Solver of A X = B for one symmetric PSD block (by :func:`_lapack_solve`),
+    pseudo-inverting if needed.  Singularity is decided by the first solve; from
+    then on every right-hand side reuses one pinv(A), so the block warns once."""
     pinv = None
 
     def solve(B):
         nonlocal pinv
         if pinv is None:
             try:
-                return np.linalg.solve(A, B)
+                return _lapack_solve(A, B)
             except np.linalg.LinAlgError:
                 warnings.warn(
                     "rank-deficient unpenalized block; using pseudo-inverse projection",
@@ -355,10 +367,11 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None):
     """One-step fits along a descending lambda grid, warm-started.
 
     Separable penalties share one working problem and its Gram matrix across
-    the grid (:class:`DataError` if that overflows).  SCAD is re-solved per
-    point in the Gram domain, so the cost does not grow with n: the splits
-    come from one derivative table, H's U and V blocks are taken once per
-    split, and an empty block's solves skipped.  A grid that is not strictly
+    the grid; SCAD shares the Hessian H at b0 and H b0 (:class:`DataError`
+    if either overflows).  SCAD is re-solved per point in the Gram domain,
+    so the cost does not grow with n: the splits come from one derivative
+    table, H's U and V blocks are taken once per split, and an empty block's
+    solves skipped.  A grid that is not strictly
     descending, or has a negative or non-finite lambda, is a ValueError.
     Entries carry no objective trace (``objective_trace == ()``); entries
     that fail to fit, or whose coefficients are not finite, are None.
@@ -389,35 +402,39 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None):
                 out.append(None)
         return out
 
-    H = glm.neg_hessian(d, b0)
-    bvec = H @ b0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        H = glm.neg_hessian(d, b0)
+        bvec = H @ b0
+    if not (np.isfinite(H).all() and np.isfinite(bvec).all()):
+        raise DataError("the one-step Hessian overflows: the data's scale is out of range")
     out = []
     prev_beta = split = None
     # s = 1 on U, so only products with a V side change with lambda; an empty
     # U or V block would only subtract 0.0 from the other.  s > 0 on V.
-    for lam, (point_split, s_v) in zip(grid.tolist(), _scad_splits(d, b0, grid, p.a)):
-        try:
-            if point_split is not split:  # take, a cheaper np.ix_, once per split
-                split = point_split
-                u_idx, v_idx = split
-                Huu, Huv, Hvu, Hvv = (H.take(r, 0).take(c, 1) for r in split for c in split)
-                b_u, b_v = bvec.take(u_idx), bvec.take(v_idx)
-            psolve = _psolver(Huu)
-            beta = np.zeros(n_coef)
-            if v_idx.size:
-                Gvv, bs_v = (s_v[:, None] * Hvv) * s_v, s_v * b_v
+    with np.errstate(invalid="ignore"):  # for _lapack_solve, once per path
+        for lam, (point_split, s_v) in zip(grid.tolist(), _scad_splits(d, b0, grid, p.a)):
+            try:
+                if point_split is not split:  # take, a cheaper np.ix_, once per split
+                    split = point_split
+                    u_idx, v_idx = split
+                    Huu, Huv, Hvu, Hvv = (H.take(r, 0).take(c, 1) for r in split for c in split)
+                    b_u, b_v = bvec.take(u_idx), bvec.take(v_idx)
+                psolve = _psolver(Huu)
+                beta = np.zeros(n_coef)
+                if v_idx.size:
+                    Gvv, bs_v = (s_v[:, None] * Hvv) * s_v, s_v * b_v
+                    if u_idx.size:
+                        Gvu = s_v[:, None] * Hvu
+                        K = psolve(np.concatenate([Gvu.T, b_u[:, None]], axis=1))
+                        Gvv, bs_v = Gvv - Gvu @ K[:, :-1], bs_v - Gvu @ K[:, -1]
+                    warm = None if prev_beta is None else prev_beta[v_idx] / s_v
+                    beta_v = wlasso.solve_gram(Gvv, bs_v, np.full(v_idx.size, n * lam),
+                                               tol=TOL, x0=warm)[0]
+                    beta[v_idx] = beta_v * s_v
                 if u_idx.size:
-                    Gvu = s_v[:, None] * Hvu
-                    K = psolve(np.concatenate([Gvu.T, b_u[:, None]], axis=1))
-                    Gvv, bs_v = Gvv - Gvu @ K[:, :-1], bs_v - Gvu @ K[:, -1]
-                warm = None if prev_beta is None else prev_beta[v_idx] / s_v
-                beta_v = wlasso.solve_gram(Gvv, bs_v, np.full(v_idx.size, n * lam),
-                                           tol=TOL, x0=warm)[0]
-                beta[v_idx] = beta_v * s_v
-            if u_idx.size:
-                beta[u_idx] = psolve(b_u - (Huv * s_v) @ beta_v if v_idx.size else b_u)
-            prev_beta = beta
-            out.append(_path_point(d, beta, lam))
-        except (NonConvergence, np.linalg.LinAlgError):
-            out.append(None)
+                    beta[u_idx] = psolve(b_u - (Huv * s_v) @ beta_v if v_idx.size else b_u)
+                prev_beta = beta
+                out.append(_path_point(d, beta, lam))
+            except (NonConvergence, np.linalg.LinAlgError):
+                out.append(None)
     return out

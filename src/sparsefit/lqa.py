@@ -19,13 +19,14 @@ objective traces sum the penalty over Python floats; they are built only
 when asked for (``trace=True``), since tuning reads only the coefficients.
 """
 
+import contextlib
 import math
 
 import numpy as np
 
 from . import glm, penalty
 from .exceptions import NonConvergence, SingularSystem
-from .lla import FitResult, _predictor_indices, _result_from_model_vector
+from .lla import FitResult, _lapack_solve, _predictor_indices, _result_from_model_vector
 from .penalty import PenaltySpec
 
 DEFAULT_TOL = 1e-8
@@ -106,7 +107,8 @@ def _newton_argmax_quadratic(d, c2, idx, start, ll, tol):
         mu = glm.mean_response(d, eta)
         g = (M.T @ (y - mu))[idx] - c2x2 * b_act
         H = (M.T @ (glm._curvature(family, mu)[:, None] * M))[np.ix_(idx, idx)] + ridge
-        step = _solve_ridge(H, g)
+        with np.errstate(invalid="ignore"):  # for _lapack_solve; the rest keeps its warnings
+            step = _solve_ridge(H, g)
         t = 1.0
         for _ in range(40):
             cand = beta.copy()
@@ -128,9 +130,10 @@ def _newton_argmax_quadratic(d, c2, idx, start, ll, tol):
 
 
 def _solve_ridge(H, g):
-    """H^{-1} g for a ridge system; raises SingularSystem when it has no finite solution."""
+    """H^{-1} g for a ridge system, under the caller's errstate (:func:`_lapack_solve`);
+    raises SingularSystem when it has no finite solution."""
     try:
-        x = np.linalg.solve(H, g)
+        x = _lapack_solve(H, g)
     except np.linalg.LinAlgError:
         raise SingularSystem("ridge Newton system is singular")
     if not np.isfinite(x).all():
@@ -174,31 +177,34 @@ def _ridge_lqa(d, p, beta, tau0, eps0, pen_value, method, tol):
     vals = beta.tolist()
     trace = [objective(ll, vals)] if traced else []
     idx = block = None
-    for it in range(1, MAX_ITER + 1):
-        dead = [j for j in alive if abs(vals[j]) < eps0]
-        if dead:
-            beta[dead] = 0.0
-            if need_ll:
-                ll = glm.loglik(d, beta)
-            alive = [j for j in alive if j not in dead]
-        if dead or idx is None:
-            idx = np.asarray([0] * first + alive, dtype=int)
-            block = None if gram is None else gram[np.ix_(idx, idx)]
-        c2 = np.array(lead + [n * penalty.lqa_coefficient(p, abs(vals[j]), tau0) for j in alive])
-        new = beta.copy()
-        if idx.size and gram is not None:
-            new[idx] = _solve_ridge(block + 2.0 * np.diag(c2), mty[idx])
+    # one errstate per Gaussian fit for its solves; a Newton step scopes its own
+    with np.errstate(invalid="ignore") if gram is not None else contextlib.nullcontext():
+        for it in range(1, MAX_ITER + 1):
+            dead = [j for j in alive if abs(vals[j]) < eps0]
+            if dead:
+                beta[dead] = 0.0
+                if need_ll:
+                    ll = glm.loglik(d, beta)
+                alive = [j for j in alive if j not in dead]
+            if dead or idx is None:
+                idx = np.asarray([0] * first + alive, dtype=int)
+                block = None if gram is None else gram[np.ix_(idx, idx)]
+            c2 = np.array(lead + [n * penalty.lqa_coefficient(p, abs(vals[j]), tau0)
+                                  for j in alive])
+            new = beta.copy()
+            if idx.size and gram is not None:
+                new[idx] = _solve_ridge(block + 2.0 * np.diag(c2), mty[idx])
+                if traced:
+                    ll = glm.loglik(d, new)
+            elif idx.size:
+                new, ll = _newton_argmax_quadratic(d, c2, idx, beta, ll, tol / 10.0)
+            delta = float(abs(new - beta).max())
+            beta = new
+            vals = beta.tolist()
             if traced:
-                ll = glm.loglik(d, new)
-        elif idx.size:
-            new, ll = _newton_argmax_quadratic(d, c2, idx, beta, ll, tol / 10.0)
-        delta = float(abs(new - beta).max())
-        beta = new
-        vals = beta.tolist()
-        if traced:
-            trace.append(objective(ll, vals))
-        if delta <= tol and not dead:
-            return beta, trace, it
+                trace.append(objective(ll, vals))
+            if delta <= tol and not dead:
+                return beta, trace, it
     partial = _result_from_model_vector(d, beta, p.lam, method, trace, MAX_ITER, converged=False)
     label = method.replace("_", " ").replace("lqa", "LQA")
     raise NonConvergence(f"{label} did not converge in {MAX_ITER} iterations", result=partial)

@@ -472,6 +472,35 @@ def test_overflowing_data_exits_3_without_runtime_warnings(runner, huge_csv, arg
     assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
 
 
+def test_singular_lqa_system_prints_only_the_fallback_warning_and_the_error(tmp_path):
+    # lambda = 0 and x3 = x1: the MLE start falls back to a ridge, and the first
+    # LQA system is exactly singular
+    import os
+    import subprocess
+    import sys
+
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((30, 3))
+    X[:, 2] = X[:, 0]
+    y = X[:, 0] + rng.standard_normal(30)
+    path = tmp_path / "dup.csv"
+    path.write_text("x1,x2,x3,y\n" + "".join(
+        ",".join(repr(float(v)) for v in (*X[i], y[i])) + "\n" for i in range(30)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparsefit", "fit", "--method", "lqa", "--penalty",
+         "scad:lambda=0", "--data", str(path), "--response", "y"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    lines = proc.stderr.splitlines()
+    assert [line for line in lines if "Warning" in line] == [lines[0]], proc.stderr
+    assert lines[0].endswith("RidgeFallbackWarning: rank-deficient design; "
+                             "ridge-stabilized least squares")
+    assert lines[1:] == ["  b0 = glm.fit_mle(d)", "error: ridge Newton system is singular"]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", [["cv"], ["fit", "--cv"]])
 def test_all_infinite_cv_curve_is_exit_3(runner, extreme_csv, argv):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sparsefit import glm, lla, penalty, tuning, wlasso
-from sparsefit.exceptions import FamilyMismatch, NonConvergence, SingularProjectionWarning
+from sparsefit.exceptions import (DataError, FamilyMismatch, NonConvergence,
+                                  SingularProjectionWarning)
 from sparsefit.penalty import PenaltySpec
 
 from conftest import design_dataset, orthonormal_gaussian, random_dataset
@@ -122,6 +123,55 @@ def test_scad_split_matches_derivative_loop(intercept):
         assert got[:2] == want[:2]
         assert all(type(j) is int for j in got[0] + got[1])
         assert got[2].tobytes() == want[2].tobytes()
+
+
+def _solve_systems(m, rng):
+    """(name, A) pairs of m x m float64 systems: SPD, general, near-singular,
+    exactly singular, and holding NaN or inf."""
+    Z = rng.standard_normal((m, m))
+    dup = Z.copy()
+    dup[:, -1] = dup[:, 0]  # for m = 1 the column is itself: not singular
+    near = dup.copy()
+    near[:, -1] += 1e-13 * rng.standard_normal(m)
+    low = Z[:, : m - 1]
+    for name, A in [("spd", Z @ Z.T + m * np.eye(m)), ("general", Z), ("near-singular", near),
+                    ("tiny pivot", np.diag(np.r_[1e-300, np.ones(m - 1)])),
+                    ("duplicated", dup), ("zero", np.zeros((m, m))),
+                    ("rank-deficient spd", low @ low.T)]:
+        yield name, A
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (m - 1, m // 2)):
+            A = Z @ Z.T + m * np.eye(m)
+            A[i, j] = bad
+            yield f"{bad} at {i},{j}", A
+
+
+@pytest.mark.parametrize("m", range(1, 14))
+def test_lapack_solve_is_np_linalg_solve_bit_for_bit(m):
+    # the bare gufunc under the callers' errstate: numpy's bytes, numpy's
+    # LinAlgError, and no RuntimeWarning
+    rng = np.random.default_rng(m)
+    outcomes = set()
+    for name, A in _solve_systems(m, rng):
+        for B in (rng.standard_normal(m), rng.standard_normal((m, 1)),
+                  rng.standard_normal((m, 4)), 1e300 * rng.standard_normal((m, 3))):
+            try:
+                want = np.linalg.solve(A, B)
+            except np.linalg.LinAlgError:
+                want = None
+            with warnings.catch_warnings(record=True) as record, np.errstate(invalid="ignore"):
+                warnings.simplefilter("always")
+                if want is None:
+                    with pytest.raises(np.linalg.LinAlgError):
+                        lla._lapack_solve(A, B)
+                    outcomes.add("raised")
+                else:
+                    got = lla._lapack_solve(A, B)
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                    assert got.tobytes() == want.tobytes(), name
+                    outcomes.add("finite" if np.isfinite(got).all() else "non-finite")
+            assert not [w for w in record if issubclass(w.category, RuntimeWarning)], name
+    assert outcomes == {"raised", "finite", "non-finite"}
 
 
 class TestOneStepOrthonormal:
@@ -293,13 +343,23 @@ class TestPath:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_points_are_none(self):
-        # x near 1e160 overflows the Gram matrix; the SCAD points that overflow
-        # are failures, not coefficient vectors of inf and NaN
+        # x near 1e152: H is finite, but the V-scaled products of most points
+        # overflow; those points are failures, not vectors of inf and NaN
+        d = near_overflow_dataset()
+        fits = lla.one_step_path(d, SCAD2, np.geomspace(5e151, 1e-157, 80))
+        assert 0 < sum(fit is None for fit in fits) < len(fits)
+        assert all(np.isfinite(fit.coefficients).all() for fit in fits if fit is not None)
+
+    def test_overflowing_hessian_is_data_error(self):
+        # x near 1e160 overflows H, checked once as wlasso.gram checks X^T X
         rng = np.random.default_rng(0)
         d = glm.Dataset(1e160 * rng.standard_normal((50, 3)), rng.standard_normal(50), "gaussian")
-        fits = lla.one_step_path(d, SCAD2, np.geomspace(1e305, 1e-300, 61))
-        assert sum(fit is None for fit in fits) > 0
-        assert all(np.isfinite(fit.coefficients).all() for fit in fits if fit is not None)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match="^the one-step Hessian overflows"):
+                lla.one_step_path(d, SCAD2, np.geomspace(1e305, 1e-300, 61),
+                                  b0=np.array([1e-160, -1e-160, 1e-161]))
+        assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
 
     def test_lambda_max_gives_empty_support(self):
         for pen in (SCAD2, PenaltySpec("log", 1.0), PenaltySpec("l1", 1.0)):
@@ -416,13 +476,17 @@ def per_point_scad_path(d, pen, grid, b0):
     return out, splits
 
 
+def near_overflow_dataset():
+    """50 x 3 Gaussian data with x near 1e152: X^T X is finite, s H s is not."""
+    rng = np.random.default_rng(0)
+    return glm.Dataset(1e152 * rng.standard_normal((50, 3)), rng.standard_normal(50), "gaussian")
+
+
 def _scad_path_cases():
     for family in glm.FAMILIES:
         for design in ("plain", "intercept", "duplicated"):
             yield f"{family}-{design}", design_dataset(family, design)
-    rng = np.random.default_rng(0)  # x near 1e160: the Gram matrix overflows
-    yield "overflow", glm.Dataset(1e160 * rng.standard_normal((50, 3)),
-                                  rng.standard_normal(50), "gaussian")
+    yield "near overflow", near_overflow_dataset()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -432,10 +496,8 @@ def test_scad_path_bytes_match_per_point_oracle():
     for name, d in _scad_path_cases():
         b0 = glm.fit_mle(d)
         lam_max = lla.one_step_lambda_max(d, SCAD2, b0=b0)
-        if name == "overflow":
-            grid = np.geomspace(1e305, 1e-300, 61)
-        else:  # from all of V at lambda_max down past every |b0_j| / a: all of U
-            grid = np.geomspace(2.0 * lam_max, 1e-9 * lam_max, 80)
+        # from all of V at lambda_max down past every |b0_j| / a: all of U
+        grid = np.geomspace(2.0 * lam_max, 1e-9 * lam_max, 80)
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always", SingularProjectionWarning)
             want, splits = per_point_scad_path(d, SCAD2, grid, b0)

@@ -1,4 +1,5 @@
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -443,5 +444,8 @@ def test_exactly_singular_gaussian_ridge_system_raises(fitter):
     X = d.design.copy()
     X[:, 2] = X[:, 0]
     d = glm.Dataset(X, d.response, "gaussian")
-    with pytest.raises(SingularSystem, match="^ridge Newton system is singular$"):
-        fitter(d, PenaltySpec("scad", 0.0), np.array([1.0, 0.5, 1.0]))
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises(SingularSystem, match="^ridge Newton system is singular$"):
+            fitter(d, PenaltySpec("scad", 0.0), np.array([1.0, 0.5, 1.0]))
+    assert not [w for w in record if issubclass(w.category, RuntimeWarning)]

@@ -133,9 +133,9 @@ def _eta_loglik(d: Dataset, eta: np.ndarray):
     return np.sum(y * eta - np.exp(eta) - d._log_y_factorial, axis=-1)
 
 
-def mean_response(d: Dataset, mu: np.ndarray) -> np.ndarray:
-    """Inverse link applied to the linear predictor."""
-    return _mean(d.family, mu)
+def mean_response(d: Dataset, eta: np.ndarray) -> np.ndarray:
+    """Inverse link applied to the linear predictor ``eta``."""
+    return _mean(d.family, eta)
 
 
 def loglik(d: Dataset, beta) -> float:
@@ -172,6 +172,12 @@ def _solve_newton_system(H, g):
     warnings.warn(
         "singular Newton system; adding a small ridge", RidgeFallbackWarning, stacklevel=3
     )
+    return _ridge_solve(H, g)
+
+
+def _ridge_solve(H, g):
+    """Solve (H + r I) x = g, r = 1e-6 * mean(diag H), or 1e-6 when that r is
+    not positive and finite (an all-zero or overflowing H)."""
     ridge = _RIDGE_SCALE * float(np.mean(np.diag(H)))
     if ridge <= 0.0 or not np.isfinite(ridge):
         ridge = _RIDGE_SCALE
@@ -267,9 +273,7 @@ def fit_mle(d: Dataset) -> np.ndarray:
             RidgeFallbackWarning,
             stacklevel=2,
         )
-        H = M.T @ M
-        ridge = _RIDGE_SCALE * float(np.mean(np.diag(H)))
-        beta = np.linalg.solve(H + ridge * np.eye(H.shape[0]), M.T @ y)
+        beta = _ridge_solve(M.T @ M, M.T @ y)
     return beta
 
 

@@ -3,13 +3,16 @@
 The local linear approximation replaces each penalty term by its tangent
 line at the current iterate, so every step is a weighted-L1 least squares
 problem.  The one-step estimator starts from the unpenalized MLE and takes a
-single step, built once per penalty route as a plain lasso: a separable
-penalty (l1/lq/log) divides each column by its lambda-free derivative
-p'(|b0_j|) and applies the single level n * lambda; SCAD splits the
+single step on the log-likelihood's quadratic expansion at b0, which every
+one-step route forms once in Gram form (:func:`_one_step_quadratic`): H, the
+negative Hessian at b0, and H b0.  A separable penalty (l1/lq/log) scales each
+predictor by its lambda-free 1 / p'(|b0_j|), so its fits, paths and
+lambda_max solve one plain lasso at the level n * lambda; SCAD splits the
 coordinates into an unpenalized block U (derivative zero) and a penalized
-block V, projects U out, solves the lasso on V, and back-solves U.  Every
-later step, of k-step and of full LLA alike, is one weighted lasso of the
-likelihood's IRLS expansion at the current iterate (:func:`_lla_step`).
+block V, solves the lasso on V's Schur complement and back-solves U (the
+single fit still does this on the n-row working data).  Every later step, of
+k-step and of full LLA alike, is one weighted lasso of the likelihood's IRLS
+expansion at the current iterate (:func:`_lla_step`).
 """
 
 import math
@@ -66,18 +69,29 @@ def penalized_objective(d: glm.Dataset, beta, p: PenaltySpec) -> float:
     return glm.loglik(d, beta) - d.n * pen
 
 
-def _separable_problem(d: glm.Dataset, b0, p: PenaltySpec):
-    """Lambda-free one-step working problem of a separable penalty, with its
-    scale factors; level lambda is its weight profile u * lambda.
+def _one_step_quadratic(d: glm.Dataset, b0, s):
+    """The one-step quadratic at b0 in Gram form with columns scaled by ``s``:
+    ``(s H s, s * H b0)`` for H the negative Hessian at b0.  Unit scales give H
+    and H b0 bit for bit (x * 1.0 is exact).  Raises :class:`DataError` when
+    either product is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        H = glm.neg_hessian(d, b0)
+        G, b = (s[:, None] * H) * s, s * (H @ b0)
+    if not (np.isfinite(G).all() and np.isfinite(b).all()):
+        raise DataError("the one-step Hessian overflows: the data's scale is out of range")
+    return G, b
 
-    Each predictor column is sqrt(D) x_j / p'(|b0_j|) with u_j = n, where p'
-    is the derivative at lambda = 1; a coordinate whose p' exceeds the weight
-    cap is pinned (u_j = +inf, scale and column 0).  The intercept, when
-    present, is an unpenalized column (u_0 = 0).
+
+def _separable_scales(d: glm.Dataset, b0, p: PenaltySpec):
+    """Scales and unit weight profile ``u`` of a separable penalty's one-step
+    quadratic; level lambda has weights u * lambda.
+
+    Predictor j has scale 1 / p'(|b0_j|) and u_j = n, where p' is the
+    derivative at lambda = 1; a coordinate whose p' exceeds the weight cap is
+    pinned (scale 0, u_j = +inf).  The intercept, when present, keeps scale 1
+    and is unpenalized (u_0 = 0).
     """
     unit = replace(p, lam=1.0)
-    M = d.model_matrix
-    sqrt_d = np.sqrt(glm.curvature_weights(d, b0))
     scales = np.ones(d.n_coef)
     u = np.zeros(d.n_coef)
     for j in _predictor_indices(d):
@@ -86,12 +100,7 @@ def _separable_problem(d: glm.Dataset, b0, p: PenaltySpec):
             scales[j], u[j] = 0.0, np.inf
         else:
             scales[j], u[j] = 1.0 / pd, d.n
-    try:
-        prob = wlasso.WlassoProblem(sqrt_d[:, None] * M * scales, sqrt_d * (M @ b0), u)
-    except ValueError:  # shapes and weights are valid by construction: X or y overflowed
-        raise DataError("the one-step working problem overflows: "
-                        "the data's scale is out of range") from None
-    return prob, scales
+    return scales, u
 
 
 def _level_weights(u, lam):
@@ -252,9 +261,9 @@ def k_step(d: glm.Dataset, p: PenaltySpec, b0=None, k: int = 1) -> FitResult:
     if p.family == "scad":
         beta = _scad_one_step(d, b0, p)
     else:
-        prob, scales = _separable_problem(d, b0, p)
-        prob = replace(prob, weights=_level_weights(prob.weights, p.lam))
-        beta = wlasso.solve(prob, tol=TOL).beta * scales
+        scales, u = _separable_scales(d, b0, p)
+        G, b = _one_step_quadratic(d, b0, scales)
+        beta = wlasso.solve_gram(G, b, _level_weights(u, p.lam), tol=TOL)[0] * scales
     trace = [penalized_objective(d, b0, p), penalized_objective(d, beta, p)]
     for _ in range(k - 1):
         beta = _lla_step(d, _lla_weights(d, p, beta), beta, TOL)
@@ -335,27 +344,29 @@ def _psolver(A):
 
 
 def one_step_lambda_max(d: glm.Dataset, p: PenaltySpec, b0=None) -> float:
-    """Smallest lambda at which the one-step fit keeps no penalized coordinate."""
+    """Smallest lambda at which the one-step fit keeps no penalized coordinate.
+
+    On the one-step quadratic (G, b) this is the largest |b_j - G_j0 b_0 / G_00|
+    / n over the predictors that are not pinned, the G_j0 term only when the
+    unpenalized intercept is present.  SCAD's quadratic is unscaled, and for
+    lambda >= max |b0_j| every SCAD weight is n * lambda, so its bound is the
+    larger of that one and max |b0_j|.
+    """
     if b0 is None:
         b0 = glm.fit_mle(d)
     b0 = np.asarray(b0, dtype=float)
-    if p.family != "scad":
-        return wlasso.lambda_max(_separable_problem(d, b0, p)[0])
-    # SCAD: for lambda >= max |b0_j| every predictor weight is n*lambda, so
-    # the all-zero threshold is the larger of that bound and the usual
-    # correlation bound on the unscaled working data.
-    with np.errstate(over="ignore", invalid="ignore"):  # a NaN bound is DataError downstream
-        H = glm.neg_hessian(d, b0)
-        bvec = H @ b0
-    pred = list(_predictor_indices(d))
+    scales = np.ones(d.n_coef) if p.family == "scad" else _separable_scales(d, b0, p)[0]
+    G, b = _one_step_quadratic(d, b0, scales)
+    pred = [j for j in _predictor_indices(d) if scales[j] != 0.0]  # not pinned
     if d.intercept:
-        h00 = H[0, 0]
-        corr = np.array([bvec[j] - H[j, 0] * (bvec[0] / h00 if h00 > 0 else 0.0) for j in pred])
+        g00 = G[0, 0]
+        corr = np.array([b[j] - G[j, 0] * (b[0] / g00 if g00 > 0 else 0.0) for j in pred])
     else:
-        corr = bvec[pred]
-    lam_corr = float(np.max(np.abs(corr))) / d.n if pred else 0.0
-    lam_beta = float(np.max(np.abs(b0[pred]))) if pred else 0.0
-    return max(lam_corr, lam_beta) * (1.0 + 1e-10)
+        corr = b[pred]
+    lam = float(np.max(np.abs(corr))) / d.n if pred else 0.0
+    if p.family == "scad":
+        lam = max(lam, float(np.max(np.abs(b0[pred]))))
+    return lam * (1.0 + 1e-10)
 
 
 def _path_point(d, beta, lam):  # None where the coefficients overflowed
@@ -366,12 +377,11 @@ def _path_point(d, beta, lam):  # None where the coefficients overflowed
 def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None):
     """One-step fits along a descending lambda grid, warm-started.
 
-    Separable penalties share one working problem and its Gram matrix across
-    the grid; SCAD shares the Hessian H at b0 and H b0 (:class:`DataError`
-    if either overflows).  SCAD is re-solved per point in the Gram domain,
-    so the cost does not grow with n: the splits come from one derivative
-    table, H's U and V blocks are taken once per split, and an empty block's
-    solves skipped.  A grid that is not strictly
+    Every point solves the one-step quadratic at b0, formed once per path
+    (:class:`DataError` if it overflows), so the cost does not grow with n.
+    Separable penalties solve its scaled form at weights u * lambda; SCAD's
+    splits come from one derivative table, H's U and V blocks are taken once
+    per split, and an empty block's solves skipped.  A grid that is not strictly
     descending, or has a negative or non-finite lambda, is a ValueError.
     Entries carry no objective trace (``objective_trace == ()``); entries
     that fail to fit, or whose coefficients are not finite, are None.
@@ -389,24 +399,19 @@ def one_step_path(d: glm.Dataset, p: PenaltySpec, lambda_grid, b0=None):
     n, n_coef = d.n, d.n_coef
 
     if p.family != "scad":
-        prob, scales = _separable_problem(d, b0, p)
-        G, bvec = wlasso.gram(prob)
+        scales, u = _separable_scales(d, b0, p)
+        G, bvec = _one_step_quadratic(d, b0, scales)
         out = []
         warm = None
         for lam in grid.tolist():
             try:
-                warm, _, _ = wlasso.solve_gram(G, bvec, _level_weights(prob.weights, lam),
-                                               tol=TOL, x0=warm)
+                warm, _, _ = wlasso.solve_gram(G, bvec, _level_weights(u, lam), tol=TOL, x0=warm)
                 out.append(_path_point(d, warm * scales, lam))
             except (NonConvergence, np.linalg.LinAlgError):
                 out.append(None)
         return out
 
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        H = glm.neg_hessian(d, b0)
-        bvec = H @ b0
-    if not (np.isfinite(H).all() and np.isfinite(bvec).all()):
-        raise DataError("the one-step Hessian overflows: the data's scale is out of range")
+    H, bvec = _one_step_quadratic(d, b0, np.ones(n_coef))
     out = []
     prev_beta = split = None
     # s = 1 on U, so only products with a V side change with lambda; an empty

@@ -84,26 +84,6 @@ def certify_kkt(prob: WlassoProblem, beta) -> float:
     return float(_kkt_from_grad(g.tolist(), prob.weights.tolist(), beta.tolist()))
 
 
-def lambda_max(prob: WlassoProblem) -> float:
-    """Smallest lambda at which all penalized coordinates of a unit-profile
-    problem are zero: max_j |x_j^T r0| / u_j over finite positive u_j, where
-    r0 removes the span of any zero-weight columns from the response."""
-    u = prob.weights
-    y = prob.wresponse
-    free = np.where(u == 0.0)[0]
-    if free.size:
-        Q, _ = np.linalg.qr(prob.wdesign[:, free])
-        r0 = y - Q @ (Q.T @ y)
-    else:
-        r0 = y
-    pen = np.where(np.isfinite(u) & (u > 0.0))[0]
-    if pen.size == 0:
-        return 0.0
-    corr = np.abs(prob.wdesign[:, pen].T @ r0) / u[pen]
-    # tiny relative nudge so the threshold is decisive under rounding
-    return float(np.max(corr)) * (1.0 + 1e-10)
-
-
 def _sweep(cols, c, w, beta, gjj, idx):
     """One cyclic pass over ``idx``; returns the largest coefficient change.
 
@@ -235,27 +215,21 @@ def _expand(p, keep, beta):
     return out
 
 
-def gram(prob: WlassoProblem):
-    """G = X^T X and b = X^T y; raises :class:`DataError` if either overflows."""
+def solve(prob: WlassoProblem, tol: float = DEFAULT_TOL,
+          max_sweeps: int = DEFAULT_MAX_SWEEPS, x0=None) -> WlassoSolution:
+    """Solve the weighted-L1 problem to stationarity.
+
+    Raises :class:`NonConvergence` after ``max_sweeps`` coordinate sweeps, or
+    :class:`DataError` when G = X^T X or b = X^T y overflows.
+    """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     X = prob.wdesign
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         G, b = X.T @ X, X.T @ prob.wresponse
     if not (np.isfinite(G).all() and np.isfinite(b).all()):
         raise DataError("the weighted lasso's Gram matrix overflows: "
                         "the data's scale is out of range")
-    return G, b
-
-
-def solve(prob: WlassoProblem, tol: float = DEFAULT_TOL,
-          max_sweeps: int = DEFAULT_MAX_SWEEPS, x0=None) -> WlassoSolution:
-    """Solve the weighted-L1 problem to stationarity.
-
-    Raises :class:`NonConvergence` after ``max_sweeps`` coordinate sweeps, or
-    :class:`DataError` when the Gram matrix overflows.
-    """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    G, b = gram(prob)
     beta, kkt, _ = solve_gram(G, b, prob.weights, tol, max_sweeps, x0)
     return WlassoSolution(beta, objective(prob, beta), kkt)
 

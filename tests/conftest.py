@@ -46,6 +46,25 @@ def design_dataset(family, design):
     return glm.Dataset(X, d.response, family, intercept=design != "plain")
 
 
+def qr_lambda_max(prob):
+    """Smallest lambda at which every penalized coordinate of a weighted lasso
+    with unit weight profile u is zero, from its n-row data: max_j |x_j^T r0| /
+    u_j over finite positive u_j, where r0 is the response with the span of
+    the zero-weight columns taken out by QR (with a 1e-10 relative nudge)."""
+    u = prob.weights
+    y = prob.wresponse
+    free = np.where(u == 0.0)[0]
+    if free.size:
+        Q, _ = np.linalg.qr(prob.wdesign[:, free])
+        r0 = y - Q @ (Q.T @ y)
+    else:
+        r0 = y
+    pen = np.where(np.isfinite(u) & (u > 0.0))[0]
+    if pen.size == 0:
+        return 0.0
+    return float(np.max(np.abs(prob.wdesign[:, pen].T @ r0) / u[pen])) * (1.0 + 1e-10)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

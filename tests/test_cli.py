@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from sparsefit import cli, glm, lla, lqa
-from sparsefit.exceptions import NonConvergence, SingularSystem
+from sparsefit.exceptions import NonConvergence, RidgeFallbackWarning, SingularSystem
 from sparsefit.lla import FitResult
 
 from conftest import random_dataset
@@ -42,8 +42,18 @@ def strong_csv(tmp_path):
 
 
 @pytest.fixture
+def zero_column_csv(tmp_path):
+    """Four rows whose one predictor is all zero: X^T X is the zero matrix."""
+    path = tmp_path / "zero.csv"
+    path.write_text("x1,y\n0,1\n0,2\n0,3\n0,5\n")
+    return path
+
+
+@pytest.fixture
 def extreme_csv(tmp_path):
-    """x near 1e-100 and y near 1e200: the log penalty's lambda_max is NaN."""
+    """x near 1e-100 and y near 1e200: the MLE is near 1e300, so the log
+    penalty's one-step scales (about |b0_j|) overflow s H s, while the
+    lq(0.5) quadratic stays finite and only its CV losses overflow."""
     rng = np.random.default_rng(0)
     X = 1e-100 * rng.standard_normal((50, 3))
     y = 1e200 * rng.standard_normal(50)
@@ -55,8 +65,8 @@ def extreme_csv(tmp_path):
 
 @pytest.fixture
 def huge_csv(tmp_path):
-    """x near 1e160: the weighted one-step design overflows once an intercept is
-    fit, and its Gram matrix X^T X overflows without one."""
+    """x near 1e160: the one-step Hessian X^T D X overflows, with an intercept
+    or without one, and so does the SCAD single fit's n-row Gram matrix."""
     rng = np.random.default_rng(0)
     X = 1e160 * rng.standard_normal((50, 3))
     y = rng.standard_normal(50)
@@ -430,31 +440,54 @@ class TestCvFitDispatch:
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", [["path"], ["cv"], ["fit", "--cv"]])
 def test_non_finite_lambda_max_is_exit_3(runner, extreme_csv, argv):
+    # the log scales overflow the one-step quadratic before lambda_max is formed
     res = runner.invoke(cli.main, argv + ["--data", str(extreme_csv), "--response", "y",
                                           "--penalty", "log:lambda=1"])
     assert res.exit_code == 3, res.output
-    assert "lambda_max is nan" in res.output
+    assert "the one-step Hessian overflows" in res.output
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.filterwarnings("ignore::sparsefit.exceptions.RidgeFallbackWarning")
-@pytest.mark.parametrize("penalty", ["l1:lambda=1", "lq:lambda=1,q=0.5", "log:lambda=1"])
-def test_overflowing_separable_path_is_exit_3(runner, huge_csv, penalty):
-    res = runner.invoke(cli.main, ["path", "--data", str(huge_csv), "--response", "y",
-                                   "--penalty", penalty, "--intercept"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["path", "--penalty", pen, "--intercept"], id=pen)
+    for pen in ("l1:lambda=1", "lq:lambda=1,q=0.5", "log:lambda=1")
+] + [
+    pytest.param(["fit", "--penalty", "l1:lambda=1"], id="fit-l1"),
+    pytest.param(["path", "--penalty", "l1:lambda=1"], id="path-l1"),
+])
+def test_overflowing_separable_path_is_exit_3(runner, huge_csv, argv):
+    # every separable route forms the one-step quadratic at b0 first
+    res = runner.invoke(cli.main, argv + ["--data", str(huge_csv), "--response", "y"])
     assert res.exit_code == 3, res.output
-    assert "the one-step working problem overflows" in res.output
+    assert "the one-step Hessian overflows" in res.output
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("argv", [["fit", "--penalty", "l1:lambda=1"],
-                                  ["fit", "--penalty", "scad:lambda=1"],
-                                  ["path", "--penalty", "l1:lambda=1"]])
-def test_overflowing_gram_matrix_is_exit_3(runner, huge_csv, argv):
-    # no intercept: the working design stays finite, but X^T X overflows
-    res = runner.invoke(cli.main, argv + ["--data", str(huge_csv), "--response", "y"])
+def test_overflowing_gram_matrix_is_exit_3(runner, huge_csv):
+    # the SCAD single fit still solves its n-row working data, whose X^T X overflows
+    res = runner.invoke(cli.main, ["fit", "--penalty", "scad:lambda=1", "--data", str(huge_csv),
+                                   "--response", "y"])
     assert res.exit_code == 3, res.output
     assert "the weighted lasso's Gram matrix overflows" in res.output
+
+
+@pytest.mark.parametrize("argv", [["path", "--penalty", "l1:lambda=1"],
+                                  ["cv", "--penalty", "log:lambda=1", "--folds", "2"],
+                                  ["fit", "--cv", "--folds", "2", "--penalty", "scad:lambda=1"],
+                                  ["fit", "--method", "lqa", "--penalty", "scad:lambda=1"]])
+def test_all_zero_design_falls_back_to_a_ridge(runner, zero_column_csv, argv):
+    # the ridge of the singular MLE system is 1e-6 * mean(diag X^T X) = 0: it
+    # falls back to 1e-6, so the MLE and every fit are 0
+    with pytest.warns(RidgeFallbackWarning):
+        res = runner.invoke(cli.main, argv + ["--data", str(zero_column_csv), "--response", "y"])
+    assert res.exit_code == 0, res.output
+    if argv[0] == "fit":
+        assert json.loads(res.output)["coefficients"] == [0.0]
+    else:  # path: every coefficient 0; cv: every loss the zero model's mean y^2
+        rows = [line.split(",") for line in res.output.splitlines()
+                if line[0].isdigit()]
+        assert {row[1] for row in rows} == {"0" if argv[0] == "path" else "9.75"}
 
 
 @pytest.mark.parametrize("argv", [["fit", "--penalty", "l1:lambda=1"],

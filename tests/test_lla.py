@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from sparsefit.exceptions import (DataError, FamilyMismatch, NonConvergence,
                                   SingularProjectionWarning)
 from sparsefit.penalty import PenaltySpec
 
-from conftest import design_dataset, orthonormal_gaussian, random_dataset
+from conftest import design_dataset, orthonormal_gaussian, qr_lambda_max, random_dataset
 
 SCAD2 = PenaltySpec("scad", 2.0, a=3.7)
 
@@ -27,32 +28,35 @@ def naive_problem(d, pen, b0):
 
 
 class TestWorkingDataType1:
-    """Separable (l1/lq/log) working data: ``lla._separable_problem``."""
+    """Separable (l1/lq/log) one-step quadratic: ``lla._separable_scales`` and
+    ``lla._one_step_quadratic``."""
 
     def test_l1_gaussian_is_identity(self):
         d = random_dataset(0, 12, 3)
         b0 = np.array([0.5, -1.0, 2.0])
-        prob, scales = lla._separable_problem(d, b0, PenaltySpec("l1", 2.0))
-        assert np.allclose(prob.wdesign, d.design)
-        assert np.allclose(prob.wresponse, d.design @ b0)
-        assert np.all(prob.weights == d.n)
-        assert np.all(scales == 1.0)
+        scales, u = lla._separable_scales(d, b0, PenaltySpec("l1", 2.0))
+        assert np.all(scales == 1.0) and np.all(u == d.n)
+        G, b = lla._one_step_quadratic(d, b0, scales)
+        H = glm.neg_hessian(d, b0)
+        assert G.tobytes() == H.tobytes() and b.tobytes() == (H @ b0).tobytes()
 
     def test_log_zero_coordinate_pinned(self):
         d = random_dataset(0, 12, 3)
         b0 = np.array([0.5, 0.0, 2.0])
-        prob, scales = lla._separable_problem(d, b0, PenaltySpec("log", 2.0))
-        assert np.isinf(prob.weights[1]) and np.all(np.isfinite(prob.weights[[0, 2]]))
-        assert np.all(prob.wdesign[:, 1] == 0.0)
+        scales, u = lla._separable_scales(d, b0, PenaltySpec("log", 2.0))
+        assert np.isinf(u[1]) and np.all(np.isfinite(u[[0, 2]]))
         assert scales[1] == 0.0
+        G, b = lla._one_step_quadratic(d, b0, scales)
+        assert np.all(G[1] == 0.0) and np.all(G[:, 1] == 0.0) and b[1] == 0.0
 
     def test_lq_column_scaling(self):
         d = random_dataset(0, 12, 3)
         b0 = np.array([4.0, 1.0, 1.0])
-        prob, scales = lla._separable_problem(d, b0, PenaltySpec("lq", 1.0, q=0.5))
+        scales, _ = lla._separable_scales(d, b0, PenaltySpec("lq", 1.0, q=0.5))
         # p'(4) = 0.5 * 4^{-0.5} = 0.25, so the column grows by 4
-        assert np.allclose(prob.wdesign[:, 0], 4.0 * d.design[:, 0])
-        assert scales[0] == pytest.approx(4.0)
+        assert scales[0] == 4.0
+        G, _ = lla._one_step_quadratic(d, b0, scales)
+        assert G[0, 0] == 16.0 * glm.neg_hessian(d, b0)[0, 0]
 
 
 class TestWorkingDataType2:
@@ -351,7 +355,7 @@ class TestPath:
         assert all(np.isfinite(fit.coefficients).all() for fit in fits if fit is not None)
 
     def test_overflowing_hessian_is_data_error(self):
-        # x near 1e160 overflows H, checked once as wlasso.gram checks X^T X
+        # x near 1e160 overflows H, checked once per path
         rng = np.random.default_rng(0)
         d = glm.Dataset(1e160 * rng.standard_normal((50, 3)), rng.standard_normal(50), "gaussian")
         with warnings.catch_warnings(record=True) as record:
@@ -431,6 +435,55 @@ class TestSeparableRoute:
             assert np.array_equal(single.coefficients, point.coefficients)
             assert point.objective_trace == ()
             assert len(single.objective_trace) == 2
+
+
+def separable_working_problem(d, pen, b0):
+    """A separable penalty's one-step working problem on n rows, at the unit
+    weight profile: columns sqrt(D) x_j / p'(|b0_j|) with u_j = n (p' at
+    lambda = 1), a column of 0 and u_j = +inf where p' exceeds the weight
+    cap, and an unpenalized intercept column; response sqrt(D) M b0."""
+    unit = PenaltySpec(pen.family, 1.0, a=pen.a, q=pen.q)
+    sqrt_d = np.sqrt(glm.curvature_weights(d, b0))
+    X = sqrt_d[:, None] * d.model_matrix
+    u = np.zeros(d.n_coef)
+    for j in lla._predictor_indices(d):
+        dj = penalty.derivative(unit, abs(b0[j]))
+        X[:, j] = 0.0 if dj > lla.WEIGHT_CAP else X[:, j] / dj
+        u[j] = np.inf if dj > lla.WEIGHT_CAP else d.n
+    return wlasso.WlassoProblem(X, sqrt_d * (d.model_matrix @ b0), u)
+
+
+@pytest.mark.parametrize("family", glm.FAMILIES)
+@pytest.mark.parametrize("intercept", [False, True])
+@pytest.mark.parametrize("pen, zero", [
+    (PenaltySpec("l1", 1.0), False), (PenaltySpec("lq", 1.0, q=0.5), False),
+    (PenaltySpec("log", 1.0), False), (PenaltySpec("log", 1.0), True),
+], ids=["l1", "lq", "log", "log-pinned"])
+def test_separable_lambda_max_matches_qr_oracle(family, intercept, pen, zero):
+    d0 = random_dataset(61, 60, 5, family)
+    d = glm.Dataset(d0.design, d0.response, family, intercept)
+    b0 = glm.fit_mle(d)
+    if zero:
+        b0[-1] = 0.0  # the log penalty pins it
+    lam_max = lla.one_step_lambda_max(d, pen, b0=b0)
+    assert lam_max == pytest.approx(qr_lambda_max(separable_working_problem(d, pen, b0)),
+                                    rel=1e-12, abs=0.0)
+    at = lla.one_step(d, replace(pen, lam=lam_max), b0=b0)
+    below = lla.one_step(d, replace(pen, lam=0.98 * lam_max), b0=b0)
+    assert at.support == () and below.support != ()
+
+
+@pytest.mark.parametrize("pen", [SCAD2, PenaltySpec("l1", 1.0), PenaltySpec("lq", 1.0, q=0.5),
+                                 PenaltySpec("log", 1.0)], ids=lambda pen: pen.family)
+def test_overflowing_lambda_max_is_data_error(pen):
+    # x near 1e160 overflows H: SCAD's bound used to read NaN here
+    rng = np.random.default_rng(0)
+    d = glm.Dataset(1e160 * rng.standard_normal((50, 3)), rng.standard_normal(50), "gaussian")
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError, match="^the one-step Hessian overflows"):
+            lla.one_step_lambda_max(d, pen, b0=np.array([1e-3, -1e-3, 1e-4]))
+    assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
 
 
 def per_point_scad_path(d, pen, grid, b0):

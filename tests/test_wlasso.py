@@ -6,6 +6,8 @@ from sparsefit import wlasso
 from sparsefit.exceptions import NonConvergence
 from sparsefit.wlasso import WlassoProblem
 
+from conftest import qr_lambda_max
+
 
 def grid_search_oracle(prob, final_step=1e-7):
     """Independent global minimizer: shrinking-box dense grid search.
@@ -117,7 +119,7 @@ class TestSolvePath:
         prob = random_problem(42)
         u = np.where(np.isinf(prob.weights), np.inf, 1.0)
         uprob = WlassoProblem(prob.wdesign, prob.wresponse, u)
-        lam_max = wlasso.lambda_max(uprob)
+        lam_max = qr_lambda_max(uprob)
         sol = wlasso.solve(WlassoProblem(prob.wdesign, prob.wresponse, lam_max * u))
         assert np.all(sol.beta[np.isfinite(u) & (u > 0)] == 0.0)
         below = wlasso.solve(WlassoProblem(prob.wdesign, prob.wresponse, 0.999 * lam_max * u))
@@ -128,7 +130,7 @@ class TestSolvePath:
         X = rng.standard_normal((12, 3))
         y = rng.standard_normal(12)
         u = np.ones(3)
-        lam_max = wlasso.lambda_max(WlassoProblem(X, y, u))
+        lam_max = qr_lambda_max(WlassoProblem(X, y, u))
         top, bottom = (wlasso.solve(WlassoProblem(X, y, lam * u)) for lam in (lam_max, 1e-10))
         assert np.all(top.beta == 0.0)
         ls = np.linalg.lstsq(X, y, rcond=None)[0]

@@ -273,7 +273,8 @@ def fit_mle(d: Dataset) -> np.ndarray:
             RidgeFallbackWarning,
             stacklevel=2,
         )
-        beta = _ridge_solve(M.T @ M, M.T @ y)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is typed downstream
+            beta = _ridge_solve(M.T @ M, M.T @ y)
     return beta
 
 

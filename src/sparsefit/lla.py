@@ -91,16 +91,10 @@ def _separable_scales(d: glm.Dataset, b0, p: PenaltySpec):
     pinned (scale 0, u_j = +inf).  The intercept, when present, keeps scale 1
     and is unpenalized (u_0 = 0).
     """
-    unit = replace(p, lam=1.0)
-    scales = np.ones(d.n_coef)
-    u = np.zeros(d.n_coef)
-    for j in _predictor_indices(d):
-        pd = penalty.derivative(unit, abs(b0[j]))
-        if pd > WEIGHT_CAP:
-            scales[j], u[j] = 0.0, np.inf
-        else:
-            scales[j], u[j] = 1.0 / pd, d.n
-    return scales, u
+    first = int(d.intercept)
+    pds = penalty.derivatives(replace(p, lam=1.0), np.abs(b0[first:]))
+    scales = np.array([1.0] * first + [0.0 if pd > WEIGHT_CAP else 1.0 / pd for pd in pds])
+    return scales, np.array([0.0] * first + [np.inf if pd > WEIGHT_CAP else d.n for pd in pds])
 
 
 def _level_weights(u, lam):
@@ -151,7 +145,8 @@ def _scad_one_step(d: glm.Dataset, b0, p: PenaltySpec):
     """SCAD one step on the n-row working data: scale the V columns by
     lambda / p'_lam(|b0_j|), project the U block out of the response and the
     V columns, solve the lasso on V at level n * lambda, and back-solve U by
-    least squares."""
+    least squares.  Raises :class:`DataError` when the working data is not
+    finite."""
     M = d.model_matrix
     sqrt_d = np.sqrt(glm.curvature_weights(d, b0))
     ystar = sqrt_d * (M @ b0)
@@ -160,9 +155,10 @@ def _scad_one_step(d: glm.Dataset, b0, p: PenaltySpec):
     Xstar[:, v_set] *= s_v
     Xv = Xstar[:, v_set]
     Q = _column_projector(Xstar[:, u_set])
-    prob = wlasso.WlassoProblem(
-        Xv - Q @ (Q.T @ Xv), ystar - Q @ (Q.T @ ystar), np.full(len(v_set), d.n * p.lam)
-    )
+    Xw, yw = Xv - Q @ (Q.T @ Xv), ystar - Q @ (Q.T @ ystar)
+    if not (np.isfinite(Xw).all() and np.isfinite(yw).all()):
+        raise DataError("the SCAD working data is not finite: the data's scale is out of range")
+    prob = wlasso.WlassoProblem(Xw, yw, np.full(len(v_set), d.n * p.lam))
     beta_v = wlasso.solve(prob, tol=TOL).beta
     beta = np.zeros(d.n_coef)
     beta[u_set] = np.linalg.lstsq(Xstar[:, u_set], ystar - Xv @ beta_v, rcond=None)[0]
@@ -195,11 +191,9 @@ def _lla_step(d, w, beta, tol):
 
 def _lla_weights(d, p, beta):
     """Per-coordinate L1 weights n * p'_lam(|beta_j|), capped to +inf."""
-    w = np.zeros(d.n_coef)
-    for j in _predictor_indices(d):
-        dj = penalty.derivative(p, abs(beta[j]))
-        w[j] = np.inf if dj > WEIGHT_CAP else d.n * dj
-    return w
+    first = int(d.intercept)
+    ds = penalty.derivatives(p, np.abs(beta[first:]))
+    return np.array([0.0] * first + [np.inf if dj > WEIGHT_CAP else d.n * dj for dj in ds])
 
 
 def _pen_loglik(d, beta, w):

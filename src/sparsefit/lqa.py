@@ -11,12 +11,14 @@ never deletes.
 
 For Gaussian data the ridge surrogate is exactly quadratic, so each outer
 step is one linear solve on the active block of X^T X and X^T y, both formed
-once per fit.  For logistic and Poisson data each outer step maximizes the
+once per fit; the block's ridge system is rebuilt only when a deletion
+shrinks it.  For logistic and Poisson data each outer step maximizes the
 surrogate by damped Newton; the kernel shares one linear predictor per
 iterate between the score, the Hessian and the line-search log-likelihood,
-and its floats are those of separate ``glm`` calls at each iterate.  The
-objective traces sum the penalty over Python floats; they are built only
-when asked for (``trace=True``), since tuning reads only the coefficients.
+and its floats are those of separate ``glm`` calls at each iterate.  Each
+step's ridge coefficients come from one list pass.  The objective traces
+sum the penalty over Python floats; they are built only when asked for
+(``trace=True``), since tuning reads only the coefficients.
 """
 
 import contextlib
@@ -25,7 +27,7 @@ import math
 import numpy as np
 
 from . import glm, penalty
-from .exceptions import NonConvergence, SingularSystem
+from .exceptions import DataError, NonConvergence, SingularSystem
 from .lla import FitResult, _lapack_solve, _predictor_indices, _result_from_model_vector
 from .penalty import PenaltySpec
 
@@ -108,7 +110,7 @@ def _newton_argmax_quadratic(d, c2, idx, start, ll, tol):
         g = (M.T @ (y - mu))[idx] - c2x2 * b_act
         H = (M.T @ (glm._curvature(family, mu)[:, None] * M))[np.ix_(idx, idx)] + ridge
         with np.errstate(invalid="ignore"):  # for _lapack_solve; the rest keeps its warnings
-            step = _solve_ridge(H, g)
+            step = _finite(_solve_ridge(H, g))
         t = 1.0
         for _ in range(40):
             cand = beta.copy()
@@ -131,11 +133,15 @@ def _newton_argmax_quadratic(d, c2, idx, start, ll, tol):
 
 def _solve_ridge(H, g):
     """H^{-1} g for a ridge system, under the caller's errstate (:func:`_lapack_solve`);
-    raises SingularSystem when it has no finite solution."""
+    raises SingularSystem when H is singular.  :func:`_finite` checks the result."""
     try:
-        x = _lapack_solve(H, g)
+        return _lapack_solve(H, g)
     except np.linalg.LinAlgError:
         raise SingularSystem("ridge Newton system is singular")
+
+
+def _finite(x):
+    """``x``, or SingularSystem when a ridge step is not finite."""
     if not np.isfinite(x).all():
         raise SingularSystem("ridge Newton step is not finite")
     return x
@@ -163,7 +169,10 @@ def _ridge_lqa(d, p, beta, tau0, eps0, pen_value, method, tol):
     gram = None
     if d.family == "gaussian":  # an exactly quadratic surrogate: one solve per step
         zero = np.zeros(d.n_coef)
-        gram, mty = glm.neg_hessian(d, zero), glm.score(d, zero)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            gram, mty = glm.neg_hessian(d, zero), glm.score(d, zero)
+        if not (np.isfinite(gram).all() and np.isfinite(mty).all()):
+            raise DataError("the LQA Gram matrix overflows: the data's scale is out of range")
     n, first = d.n, int(d.intercept)
     lead = [0.0] * first  # the unpenalized intercept's ridge coefficient
 
@@ -176,11 +185,11 @@ def _ridge_lqa(d, p, beta, tau0, eps0, pen_value, method, tol):
     ll = glm.loglik(d, beta) if need_ll else None
     vals = beta.tolist()
     trace = [objective(ll, vals)] if traced else []
-    idx = block = None
+    idx = None
     # one errstate per Gaussian fit for its solves; a Newton step scopes its own
     with np.errstate(invalid="ignore") if gram is not None else contextlib.nullcontext():
         for it in range(1, MAX_ITER + 1):
-            dead = [j for j in alive if abs(vals[j]) < eps0]
+            dead = [j for j in alive if abs(vals[j]) < eps0] if eps0 else ()
             if dead:
                 beta[dead] = 0.0
                 if need_ll:
@@ -188,17 +197,29 @@ def _ridge_lqa(d, p, beta, tau0, eps0, pen_value, method, tol):
                 alive = [j for j in alive if j not in dead]
             if dead or idx is None:
                 idx = np.asarray([0] * first + alive, dtype=int)
-                block = None if gram is None else gram[np.ix_(idx, idx)]
-            c2 = np.array(lead + [n * penalty.lqa_coefficient(p, abs(vals[j]), tau0)
-                                  for j in alive])
-            new = beta.copy()
-            if idx.size and gram is not None:
-                new[idx] = _solve_ridge(block + 2.0 * np.diag(c2), mty[idx])
-                if traced:
-                    ll = glm.loglik(d, new)
-            elif idx.size:
-                new, ll = _newton_argmax_quadratic(d, c2, idx, beta, ll, tol / 10.0)
-            delta = float(abs(new - beta).max())
+                full = idx.size == beta.size  # P-LQA, and LQA until a deletion
+                if gram is not None:  # the active block's ridge system, written in place
+                    block, rhs = (gram, mty) if full else (gram[np.ix_(idx, idx)], mty[idx])
+                    ridge, system = np.zeros_like(block), np.empty_like(block)
+                    diag = ridge.reshape(-1)[::idx.size + 1]
+            c2 = lead + penalty.lqa_coefficients(p, [abs(vals[j]) for j in alive], tau0, n)
+            if not idx.size:
+                new = beta.copy()
+            elif gram is None:
+                new, ll = _newton_argmax_quadratic(d, np.array(c2), idx, beta, ll, tol / 10.0)
+            else:
+                np.multiply(c2, 2.0, out=diag)
+                x = _solve_ridge(np.add(block, ridge, out=system), rhs)
+                if full:
+                    new = x
+                else:
+                    new = beta.copy()
+                    new[idx] = x
+            delta = np.maximum.reduce(abs(new - beta))
+            if gram is not None and not math.isfinite(delta):  # a non-finite step makes it so
+                _finite(new)
+            if traced and gram is not None and idx.size:
+                ll = glm.loglik(d, new)
             beta = new
             vals = beta.tolist()
             if traced:

@@ -75,24 +75,29 @@ def derivative(p: PenaltySpec, t: float) -> float:
     """
     if t < 0.0:
         raise ValueError("penalty argument must be nonnegative")
+    return derivatives(p, [t])[0]
+
+
+def derivatives(p: PenaltySpec, ts) -> list:
+    """:func:`derivative` at every t >= 0 of ``ts``, as a list, unchecked.  SCAD's
+    max(a lam - t, 0) is a comparison: a lam - t < 0 exactly when t > a lam."""
     lam = p.lam
     if lam == 0.0:
-        return 0.0
+        return [0.0] * len(ts)
     if p.family == "l1":
-        return lam
+        return [lam] * len(ts)
     if p.family == "lq":
-        return math.inf if t == 0.0 else lam * p.q * t ** (p.q - 1.0)
+        lq, e = lam * p.q, p.q - 1.0
+        return [math.inf if t == 0.0 else lq * t ** e for t in ts]
     if p.family == "log":
-        return math.inf if t == 0.0 else lam / t
-    a = p.a
-    if t <= lam:
-        return lam
-    return max(a * lam - t, 0.0) / (a - 1.0)
+        return [math.inf if t == 0.0 else lam / t for t in ts]
+    al, am1 = p.a * lam, p.a - 1.0
+    return [lam if t <= lam else (0.0 if t > al else (al - t) / am1) for t in ts]
 
 
 def scad_derivatives(lams, t, a: float) -> np.ndarray:
     """:func:`derivative` of SCAD for every lambda in ``lams`` (rows) at
-    every t >= 0 (columns), by the same operations, so bit for bit."""
+    every t >= 0 (columns), bit for bit."""
     lam = np.asarray(lams, dtype=float)[:, None]
     table = np.where(t <= lam, lam, np.maximum(a * lam - t, 0.0) / (a - 1.0))
     return np.where(lam == 0.0, 0.0, table)
@@ -106,11 +111,15 @@ def lqa_coefficient(p: PenaltySpec, t0: float, tau0: float = 0.0) -> float:
     """
     if t0 < 0.0 or tau0 < 0.0:
         raise ValueError("t0 and tau0 must be nonnegative")
-    d = derivative(p, t0)
-    den = 2.0 * (t0 + tau0)
-    if den == 0.0:
-        return math.inf if d > 0.0 else 0.0
-    return d / den
+    return lqa_coefficients(p, [t0], tau0, 1.0)[0]  # x * 1.0 is x, bit for bit
+
+
+def lqa_coefficients(p: PenaltySpec, ts, tau0: float, scale) -> list:
+    """``scale * lqa_coefficient(p, t, tau0)`` for every t >= 0 of ``ts``, as a
+    list, by the same operations and without the argument checks."""
+    return [scale * (dt / den if (den := 2.0 * (t + tau0)) != 0.0
+                     else (math.inf if dt > 0.0 else 0.0))
+            for t, dt in zip(ts, derivatives(p, ts))]
 
 
 def penalty_from_params(family: str, params: str, text: str,

@@ -472,6 +472,20 @@ def test_overflowing_gram_matrix_is_exit_3(runner, huge_csv):
     assert "the weighted lasso's Gram matrix overflows" in res.output
 
 
+@pytest.mark.filterwarnings("ignore::sparsefit.exceptions.RidgeFallbackWarning")
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--method", method, "--penalty", "scad:lambda=1", *flag],
+     "the LQA Gram matrix overflows") for method in ("lqa", "plqa")
+    for flag in ([], ["--intercept"])
+] + [(["fit", "--penalty", "scad:lambda=1", "--intercept"], "the SCAD working data is not finite")])
+def test_overflowing_lqa_and_scad_intercept_fits_are_exit_3(runner, huge_csv, argv, message):
+    # the Gaussian LQA Gram matrix overflows; with an intercept the MLE start is
+    # not finite either, and neither is the SCAD single fit's working response
+    res = runner.invoke(cli.main, argv + ["--data", str(huge_csv), "--response", "y"])
+    assert res.exit_code == 3, res.output
+    assert message in res.output
+
+
 @pytest.mark.parametrize("argv", [["path", "--penalty", "l1:lambda=1"],
                                   ["cv", "--penalty", "log:lambda=1", "--folds", "2"],
                                   ["fit", "--cv", "--folds", "2", "--penalty", "scad:lambda=1"],
@@ -494,7 +508,11 @@ def test_all_zero_design_falls_back_to_a_ridge(runner, zero_column_csv, argv):
                                   ["path", "--penalty", "l1:lambda=1"],
                                   ["path", "--penalty", "scad:lambda=1"],
                                   ["cv", "--penalty", "scad:lambda=1"],
-                                  ["fit", "--cv", "--penalty", "scad:lambda=1"]])
+                                  ["fit", "--cv", "--penalty", "scad:lambda=1"]]
+                         + [["fit", "--method", method, "--penalty", "scad:lambda=1", *flag]
+                            for method in ("lqa", "plqa") for flag in ([], ["--intercept"])]
+                         + [["path", "--penalty", "l1:lambda=1", "--intercept"],
+                            ["fit", "--penalty", "scad:lambda=1", "--intercept"]])
 def test_overflowing_data_exits_3_without_runtime_warnings(runner, huge_csv, argv):
     # the overflowing products are checked, so numpy's warnings would only
     # print source lines ahead of the error

@@ -449,3 +449,34 @@ def test_exactly_singular_gaussian_ridge_system_raises(fitter):
         with pytest.raises(SingularSystem, match="^ridge Newton system is singular$"):
             fitter(d, PenaltySpec("scad", 0.0), np.array([1.0, 0.5, 1.0]))
     assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("design", ["plain", "intercept"])
+def test_gaussian_fits_never_call_the_scalar_lqa_coefficient(monkeypatch, design):
+    # the ridge coefficients of a step come from one list pass; the oracle above
+    # still computes them by the scalar form
+    d = design_dataset("gaussian", design)
+    b0 = glm.fit_mle(d)
+    p = PenaltySpec("scad", 0.3 * float(np.max(np.abs(b0))))
+
+    def scalar(*args):
+        raise AssertionError("scalar lqa_coefficient called")
+
+    monkeypatch.setattr(penalty, "lqa_coefficient", scalar)
+    assert lqa.lqa_fit(d, p, b0, trace=False).iterations > 1
+    assert lqa.perturbed_lqa_fit(d, p, b0).iterations > 1
+
+
+@pytest.mark.parametrize("fitter", [lqa.lqa_fit, lqa.perturbed_lqa_fit])
+def test_overflowing_gaussian_ridge_step_raises_before_it_is_read(monkeypatch, fitter):
+    # a finite Gram matrix and score, but lambda = 0 and nearly collinear columns:
+    # the ridge system's solution overflows
+    d = glm.Dataset(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-4]]), np.array([1e306, -1e306]),
+                    "gaussian")
+    read, loglik = [], glm.loglik
+    monkeypatch.setattr(glm, "loglik", lambda d_, beta: read.append(beta.copy()) or loglik(d_, beta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the start's log-likelihood overflows
+        with pytest.raises(SingularSystem, match="^ridge Newton step is not finite$"):
+            fitter(d, PenaltySpec("scad", 0.0), np.array([1.0, 1.0]))
+    assert len(read) == 1  # the start's: the traced log-likelihood never read the step

@@ -214,3 +214,58 @@ def test_scad_derivative_table_is_derivative_bit_for_bit(a):
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (lam, t)
             if want != 0.0:
                 assert np.float64(scale).tobytes() == np.float64(lam / want).tobytes()
+
+
+def _reference_derivative(p, t):
+    """The scalar derivative as one branch per family, before the list form."""
+    lam = p.lam
+    if lam == 0.0:
+        return 0.0
+    if p.family == "l1":
+        return lam
+    if p.family == "lq":
+        return math.inf if t == 0.0 else lam * p.q * t ** (p.q - 1.0)
+    if p.family == "log":
+        return math.inf if t == 0.0 else lam / t
+    a = p.a
+    if t <= lam:
+        return lam
+    return max(a * lam - t, 0.0) / (a - 1.0)
+
+
+def _reference_lqa_coefficient(p, t0, tau0):
+    d = _reference_derivative(p, t0)
+    den = 2.0 * (t0 + tau0)
+    if den == 0.0:
+        return math.inf if d > 0.0 else 0.0
+    return d / den
+
+
+def _same_bytes(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+@pytest.mark.parametrize("spec", [*ALL, PenaltySpec("scad", 0.3, a=2.5), PenaltySpec("lq", 0.3, q=0.3),
+                                  PenaltySpec("lq", 2.0, q=0.01), PenaltySpec("log", 0.3),
+                                  PenaltySpec("scad", 0.0), PenaltySpec("log", 0.0)])
+def test_list_forms_are_the_scalar_forms_bit_for_bit(spec):
+    # the LQA steps and the LLA weights read the list forms, and the scalar forms
+    # are their one-element calls; at 0, lambda, a * lambda, between them, 1e300
+    # and inf (and NaN) both give the bytes of the per-family scalar reference
+    lam, a = spec.lam, spec.a
+    between = [lam * k / 8.0 for k in range(1, 40)]  # both sides of lambda and of a * lambda
+    ts = sorted({0.0, 1e-300, lam, np.nextafter(lam, math.inf), a * lam,
+                 np.nextafter(a * lam, math.inf), 1.0, 1e300, math.inf, *between}) + [math.nan]
+    derivs = penalty.derivatives(spec, ts)
+    assert len(derivs) == len(ts)
+    for t, got in zip(ts, derivs):
+        want = _reference_derivative(spec, t)
+        assert _same_bytes(got, want) and _same_bytes(penalty.derivative(spec, t), want), t
+    for tau0 in (0.0, 1e-6, 2.0):
+        for scale in (1, 50, 1.0):
+            coefs = penalty.lqa_coefficients(spec, ts, tau0, scale)
+            assert len(coefs) == len(ts)
+            for t, got in zip(ts, coefs):
+                want = _reference_lqa_coefficient(spec, t, tau0)
+                assert _same_bytes(got, scale * want), (t, tau0, scale)
+                assert _same_bytes(penalty.lqa_coefficient(spec, t, tau0), want), (t, tau0)

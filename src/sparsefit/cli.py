@@ -6,7 +6,6 @@ when there is one, with ``"converged": false``).
 """
 
 import configparser
-import os
 import sys
 from dataclasses import fields, replace
 
@@ -196,7 +195,7 @@ def cv(data, response, family, method, penalty_str, folds, n_lambda, min_ratio,
     if not 0.0 < min_ratio < 1.0:
         raise click.UsageError("--min-ratio must lie in (0, 1)")
     dataset, _ = _load(data, response, family, intercept)
-    if folds > dataset.n:  # the bound simulate applies to cv_folds
+    if folds > dataset.n:
         raise click.UsageError(f"--folds {folds} exceeds the {dataset.n} data rows")
     pen = _parse_penalty_flag(penalty_str)
     try:
@@ -264,13 +263,10 @@ def _scenario_from_section(section, reps, seed):
 @click.option("--scenario", default=None, help="run a single named section")
 @click.option("--reps", type=int, default=None, help="override replications")
 @click.option("--seed", type=int, default=None, help="override the seed")
-@click.option("--threads", type=int, default=None,
-              help="worker processes (default: SPARSEFIT_THREADS or 1)")
+@click.option("--threads", type=int, default=1, help="worker processes")
 @click.option("--out", default=None, help="write the JSON report here")
 def simulate(config_path, scenario, reps, seed, threads, out):
     """Run simulation scenarios from a config file and print metric tables."""
-    if threads is None:
-        threads = int(os.environ.get("SPARSEFIT_THREADS", "1"))
     parser = configparser.ConfigParser()
     try:
         with open(config_path) as fh:

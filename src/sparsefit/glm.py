@@ -89,13 +89,6 @@ class Dataset:
     def subset_rows(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.design[idx], self.response[idx], self.family, self.intercept)
 
-    def split_coefficients(self, beta):
-        """Split a model vector into (predictor coefficients, intercept | None)."""
-        beta = np.asarray(beta, dtype=float)
-        if self.intercept:
-            return beta[1:], float(beta[0])
-        return beta, None
-
 
 def _check_beta(d: Dataset, beta) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
@@ -131,11 +124,6 @@ def _eta_loglik(d: Dataset, eta: np.ndarray):
     if d.family == "logistic":
         return np.sum(y * eta - np.logaddexp(0.0, eta), axis=-1)
     return np.sum(y * eta - np.exp(eta) - d._log_y_factorial, axis=-1)
-
-
-def mean_response(d: Dataset, eta: np.ndarray) -> np.ndarray:
-    """Inverse link applied to the linear predictor ``eta``."""
-    return _mean(d.family, eta)
 
 
 def loglik(d: Dataset, beta) -> float:

@@ -118,13 +118,6 @@ def _column_projector(X):
     return U[:, :rank]
 
 
-def _scad_split(d: glm.Dataset, b0, p: PenaltySpec):
-    """SCAD split at b0: U (intercept, zero derivative), V, and the scales
-    lambda / p'_lam(|b0_j|) of the V columns, in V's order."""
-    ((u_set, v_set), v_scales), = _scad_splits(d, b0, [p.lam], p.a)
-    return u_set.tolist(), v_set.tolist(), v_scales
-
-
 def _scad_splits(d: glm.Dataset, b0, grid, a):
     """``((U, V), V scales)`` at b0 for each lambda of ``grid``, from one
     derivative table.  U and V are index arrays, and the same pair of arrays
@@ -150,7 +143,7 @@ def _scad_one_step(d: glm.Dataset, b0, p: PenaltySpec):
     M = d.model_matrix
     sqrt_d = np.sqrt(glm.curvature_weights(d, b0))
     ystar = sqrt_d * (M @ b0)
-    u_set, v_set, s_v = _scad_split(d, b0, p)
+    ((u_set, v_set), s_v), = _scad_splits(d, b0, [p.lam], p.a)
     Xstar = sqrt_d[:, None] * M
     Xstar[:, v_set] *= s_v
     Xv = Xstar[:, v_set]
@@ -167,7 +160,8 @@ def _scad_one_step(d: glm.Dataset, b0, p: PenaltySpec):
 
 
 def _result_from_model_vector(d, beta_model, lam, method, trace, iterations, converged=True):
-    coef, intercept = d.split_coefficients(beta_model)
+    beta = np.asarray(beta_model, dtype=float)
+    coef, intercept = (beta[1:], float(beta[0])) if d.intercept else (beta, None)
     support = tuple(coef.nonzero()[0].tolist())
     return FitResult(coef, support, float(lam), method, tuple(trace), iterations, intercept, converged)
 
@@ -177,7 +171,7 @@ def _working_response(d, beta):
     if d.family == "gaussian":
         return d.model_matrix, d.response
     eta = d.model_matrix @ beta
-    mu = glm.mean_response(d, eta)
+    mu = glm._mean(d.family, eta)
     sw = np.sqrt(np.maximum(glm._curvature(d.family, mu), _CURV_FLOOR))
     return sw[:, None] * d.model_matrix, sw * eta + (d.response - mu) / sw
 

@@ -106,7 +106,7 @@ def _newton_argmax_quadratic(d, c2, idx, start, ll, tol):
     b_act = beta[idx]
     obj = ll - float((c2 * b_act ** 2).sum())
     for _ in range(MAX_INNER):
-        mu = glm.mean_response(d, eta)
+        mu = glm._mean(family, eta)
         g = (M.T @ (y - mu))[idx] - c2x2 * b_act
         H = (M.T @ (glm._curvature(family, mu)[:, None] * M))[np.ix_(idx, idx)] + ridge
         with np.errstate(invalid="ignore"):  # for _lapack_solve; the rest keeps its warnings

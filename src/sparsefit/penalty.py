@@ -88,11 +88,19 @@ def derivatives(p: PenaltySpec, ts) -> list:
         return [lam] * len(ts)
     if p.family == "lq":
         lq, e = lam * p.q, p.q - 1.0
-        return [math.inf if t == 0.0 else lq * t ** e for t in ts]
+        return [_bridge_derivative(lq, t, e) for t in ts]
     if p.family == "log":
         return [math.inf if t == 0.0 else lam / t for t in ts]
     al, am1 = p.a * lam, p.a - 1.0
     return [lam if t <= lam else (0.0 if t > al else (al - t) / am1) for t in ts]
+
+
+def _bridge_derivative(lq: float, t: float, e: float) -> float:
+    """lq * t ** e, +inf at t = 0 and where a Python float's power overflows."""
+    try:
+        return math.inf if t == 0.0 else lq * t ** e
+    except OverflowError:  # a subnormal t; a numpy float gives +inf itself
+        return math.inf
 
 
 def scad_derivatives(lams, t, a: float) -> np.ndarray:

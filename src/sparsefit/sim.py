@@ -21,13 +21,16 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import glm, methods, subset, tuning
-from .penalty import SCAD_DEFAULT_A, PenaltySpec, penalty_from_params
+from .penalty import FAMILIES, SCAD_DEFAULT_A, PenaltySpec, penalty_from_params
 
 #: the standard coefficient vectors, zero-padded to 12 coordinates
 BETA_MAIN = (3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 BETA_POISSON = (1.2, 0.6, 0.0, 0.0, 0.8, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 EXAMPLES = ("linear", "logistic", "poisson")
+
+RHO = 0.5  # covariates are N(0, AR(RHO))
+TEST_POINTS = 10_000  # Monte Carlo rows of the logistic model error
 
 #: lambda selectors: k-fold CV (prediction) or BIC (selection-consistent)
 TUNINGS = ("cv", "bic")
@@ -72,7 +75,7 @@ def parse_method(text: str) -> MethodSpec:
     kind = head.replace("-", "_")
     if kind not in ("one_step", "lqa", "plqa"):
         raise ValueError(f"unknown method kind {head!r} in {text!r}")
-    m = re.fullmatch(r"(scad|lq|log|l1)(?:\(([^)]*)\))?", tail)
+    m = re.fullmatch(rf"({'|'.join(FAMILIES)})(?:\(([^)]*)\))?", tail)
     if not m:
         raise ValueError(f"bad penalty in method {text!r}")
     family = m.group(1)
@@ -98,13 +101,9 @@ class ScenarioSpec:
     replications: int
     methods: tuple
     p: int = 12
-    rho: float = 0.5
     beta_true: tuple = ()
     seed: int = 0
-    test_points: int = 10_000
-    cv_folds: int = 5
     n_lambda: int = tuning.DEFAULT_N_LAMBDA
-    lambda_min_ratio: float = tuning.DEFAULT_MIN_RATIO
     tuning: str = "cv"  # shadows the module only inside this class body
 
     def __post_init__(self):
@@ -112,16 +111,12 @@ class ScenarioSpec:
             raise ValueError(f"unknown example {self.example!r}")
         if self.tuning not in TUNINGS:
             raise ValueError(f"tuning must be one of {TUNINGS}, got {self.tuning!r}")
-        if not -1.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (-1, 1)")
         if self.replications < 1:
             raise ValueError("need at least one replication")
-        if not 2 <= self.cv_folds <= self.n:
-            raise ValueError(f"cv_folds must lie in [2, n = {self.n}], got {self.cv_folds}")
+        if self.n < tuning.DEFAULT_FOLDS:
+            raise ValueError(f"n = {self.n} is below the {tuning.DEFAULT_FOLDS} CV folds")
         if self.n_lambda < 1:
             raise ValueError("n_lambda must be at least 1")
-        if not 0.0 < self.lambda_min_ratio < 1.0:
-            raise ValueError("lambda_min_ratio must lie in (0, 1)")
         if self.example == "logistic" and self.p % 2 != 0:
             raise ValueError("the logistic example needs an even p")
         methods = tuple(
@@ -158,7 +153,7 @@ def _rng(spec: ScenarioSpec, rep_index: int, tag: int) -> np.random.Generator:
 
 
 def _draw_covariates(spec: ScenarioSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    chol = np.linalg.cholesky(ar_covariance(spec.p, spec.rho))
+    chol = np.linalg.cholesky(ar_covariance(spec.p, RHO))
     z = rng.standard_normal((size, spec.p)) @ chol.T
     if spec.example != "logistic":
         return z
@@ -170,7 +165,7 @@ def _draw_covariates(spec: ScenarioSpec, rng: np.random.Generator, size: int) ->
 def generate(spec: ScenarioSpec, rep_index: int) -> glm.Dataset:
     """The data of replication ``rep_index``: covariates first, then responses.
 
-    linear: y = x' beta + standard normal noise, x ~ N(0, AR(rho));
+    linear: y = x' beta + standard normal noise, x ~ N(0, AR(RHO));
     logistic: Bernoulli responses, odd covariates continuous, even ones
     I(z < 0); poisson: rate exp(x' beta), covariates as in the linear case.
     """
@@ -220,18 +215,17 @@ def _fit_penalized(spec, m, data, b_full, cv_seed):
     or BIC) and refit on the full data, an LQA refit without its objective
     trace; see :func:`methods.tune_and_fit`."""
     return methods.tune_and_fit(m.kind, data, m.pen, b_full, spec.n_lambda,
-                                spec.lambda_min_ratio, spec.tuning, spec.cv_folds,
-                                cv_seed, trace=False).coefficients
+                                selector=spec.tuning, seed=cv_seed, trace=False).coefficients
 
 
 def _run_replication(spec: ScenarioSpec, rep_index: int):
     """``(ME ratio, C, IC, fit class)`` of each method, in ``spec.methods`` order."""
     data = generate(spec, rep_index)
-    sigma = ar_covariance(spec.p, spec.rho)
+    sigma = ar_covariance(spec.p, RHO)
     beta_true = np.asarray(spec.beta_true)
     test_design = None
     if spec.example == "logistic":
-        test_design = _draw_covariates(spec, _rng(spec, rep_index, _TAG_TEST), spec.test_points)
+        test_design = _draw_covariates(spec, _rng(spec, rep_index, _TAG_TEST), TEST_POINTS)
     b_full = glm.fit_mle(data)
     me_full = model_error(data.family, b_full, beta_true, sigma, test_design)
     cv_seed = int(np.random.SeedSequence([spec.seed, rep_index, _TAG_CV]).generate_state(1)[0])
@@ -366,7 +360,7 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> SimulationReport:
         spec.example,
         spec.n,
         spec.p,
-        spec.rho,
+        RHO,
         spec.seed,
         spec.replications,
         len(ok),

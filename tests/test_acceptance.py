@@ -260,6 +260,8 @@ def test_criterion_11_simulate_determinism(tmp_path):
         "[det]\nexample = linear\nn = 40\nreplications = 6\nseed = 3\n"
         "methods = one-step:scad, subset:bic\n"
     )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     outputs = []
     for threads in ("1", "2", "3"):
         out = tmp_path / f"report_{threads}.json"
@@ -268,6 +270,7 @@ def test_criterion_11_simulate_determinism(tmp_path):
              "--threads", threads, "--out", str(out)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append((out.read_bytes(), proc.stdout))

@@ -634,6 +634,20 @@ class TestThresholdCmd:
         assert table[8.0] == 8.0
         assert table[1.0] == 0.0
 
+    def test_bridge_at_subnormal_z(self, runner):
+        # the derivative's power overflows at z = 5e-324: +inf, so theta = 0
+        res = runner.invoke(
+            cli.main,
+            ["threshold", "--penalty", "lq:lambda=2,q=0.01", "--mode", "one-step",
+             "--zmin", "0", "--zmax", "1e-323", "--step", "5e-324"],
+        )
+        assert res.exit_code == 0, res.output
+        lines = res.output.strip().splitlines()
+        assert lines[:2] == ["# discontinuities: none", "z,theta"]
+        rows = [tuple(map(float, line.split(","))) for line in lines[2:]]
+        assert 5e-324 in [z for z, _ in rows]
+        assert all(theta == 0.0 for _, theta in rows)
+
     def test_bad_range_exit_2(self, runner):
         res = runner.invoke(
             cli.main,
@@ -702,11 +716,14 @@ methods = one-step:scad, subset:bic
         assert "tuning" in res.output
 
     def test_unknown_key_exit_3(self, runner, tmp_path):
-        cfg = tmp_path / "demo.cfg"
-        cfg.write_text(self.CONFIG + "n_lamda = 5\n")
-        res = runner.invoke(cli.main, ["simulate", "--config", str(cfg)])
-        assert res.exit_code == 3
-        assert "n_lamda" in res.output
+        # a misspelling, and values the design fixes (sim.RHO, sim.TEST_POINTS, tuning's defaults)
+        for line in ("n_lamda = 5", "rho = 0.5", "test_points = 10000", "cv_folds = 5",
+                     "lambda_min_ratio = 0.001"):
+            cfg = tmp_path / "demo.cfg"
+            cfg.write_text(self.CONFIG + line + "\n")
+            res = runner.invoke(cli.main, ["simulate", "--config", str(cfg)])
+            assert res.exit_code == 3, (line, res.output)
+            assert f"unknown config key {line.split()[0]!r}" in res.output
 
     def test_missing_scenario_exit_3(self, runner, tmp_path):
         cfg = tmp_path / "demo.cfg"
@@ -714,9 +731,7 @@ methods = one-step:scad, subset:bic
         res = runner.invoke(cli.main, ["simulate", "--config", str(cfg), "--scenario", "nope"])
         assert res.exit_code == 3
 
-    @pytest.mark.parametrize("line", ["cv_folds = 1", "cv_folds = 80", "n_lambda = 0",
-                                      "lambda_min_ratio = 0", "lambda_min_ratio = 2",
-                                      "lambda_min_ratio = nan"])
+    @pytest.mark.parametrize("line", ["n_lambda = 0"])
     def test_bad_tuning_key_exit_3(self, runner, tmp_path, line):
         cfg = tmp_path / "demo.cfg"
         cfg.write_text(self.CONFIG + line + "\n")
@@ -731,10 +746,3 @@ methods = one-step:scad, subset:bic
         res = runner.invoke(cli.main, ["simulate", "--config", str(cfg)])
         assert res.exit_code == 3, res.output
         assert "[demo]" in res.output
-
-    def test_env_threads_fallback(self, runner, tmp_path, monkeypatch):
-        cfg = tmp_path / "demo.cfg"
-        cfg.write_text(self.CONFIG)
-        monkeypatch.setenv("SPARSEFIT_THREADS", "2")
-        res = runner.invoke(cli.main, ["simulate", "--config", str(cfg), "--reps", "2"])
-        assert res.exit_code == 0, res.output

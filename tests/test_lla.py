@@ -60,13 +60,13 @@ class TestWorkingDataType1:
 
 
 class TestWorkingDataType2:
-    """SCAD working data: the U/V split ``lla._scad_split`` and the single fit."""
+    """SCAD working data: the U/V split ``lla._scad_splits`` and the single fit."""
 
     def test_empty_u_is_no_projection(self):
         d = random_dataset(1, 14, 3)
         b0 = np.array([0.5, -1.0, 1.5])  # all below a*lam: V only
-        u_set, v_set, scales = lla._scad_split(d, b0, SCAD2)
-        assert u_set == [] and v_set == [0, 1, 2]
+        ((u_set, v_set), scales), = lla._scad_splits(d, b0, [SCAD2.lam], SCAD2.a)
+        assert u_set.tolist() == [] and v_set.tolist() == [0, 1, 2]
         # with nothing to project, the step is the lasso on the scaled columns
         prob = wlasso.WlassoProblem(d.design * scales, d.design @ b0, np.full(3, d.n * SCAD2.lam))
         expect = wlasso.solve(prob).beta * scales
@@ -75,9 +75,9 @@ class TestWorkingDataType2:
     def test_all_big_coefficients_reduce_to_ols(self):
         d = random_dataset(2, 20, 3)
         b0 = np.array([9.0, -8.0, 10.0])  # all beyond a*lam = 7.4
-        u_set, v_set, _ = lla._scad_split(d, b0, SCAD2)
-        assert v_set == []
-        assert set(u_set) == {0, 1, 2}
+        ((u_set, v_set), _), = lla._scad_splits(d, b0, [SCAD2.lam], SCAD2.a)
+        assert v_set.tolist() == []
+        assert u_set.tolist() == [0, 1, 2]
         fit = lla.one_step(d, SCAD2, b0=b0)
         ols = np.linalg.lstsq(d.design, d.design @ b0, rcond=None)[0]
         assert np.allclose(fit.coefficients, ols, atol=1e-8)
@@ -85,7 +85,7 @@ class TestWorkingDataType2:
     def test_unit_scale_at_lambda(self):
         d = random_dataset(3, 14, 3)
         b0 = np.array([1.0, 9.0, 9.0])  # p'_lam(1) = lam -> scale 1
-        _, v_set, scales = lla._scad_split(d, b0, SCAD2)
+        ((_, v_set), scales), = lla._scad_splits(d, b0, [SCAD2.lam], SCAD2.a)
         assert scales[0] == pytest.approx(1.0)
         assert 0 in v_set
 
@@ -93,7 +93,8 @@ class TestWorkingDataType2:
         d0 = random_dataset(4, 20, 3)
         d = glm.Dataset(np.column_stack([d0.design, d0.design[:, 0]]), d0.response, "gaussian")
         b0 = np.array([9.0, 0.5, 0.3, 9.0])  # both copies beyond a*lam: one rank in U
-        assert lla._scad_split(d, b0, SCAD2)[0] == [0, 3]
+        ((u_set, _), _), = lla._scad_splits(d, b0, [SCAD2.lam], SCAD2.a)
+        assert u_set.tolist() == [0, 3]
         with pytest.warns(SingularProjectionWarning):
             fit = lla.one_step(d, SCAD2, b0=b0)
         assert np.all(np.isfinite(fit.coefficients))
@@ -123,10 +124,10 @@ def test_scad_split_matches_derivative_loop(intercept):
     for p in (PenaltySpec("scad", lam, a=3.7), PenaltySpec("scad", 0.0),
               PenaltySpec("scad", 0.7, a=2.5), PenaltySpec("scad", 5e-324),
               PenaltySpec("scad", 1e300)):
-        got, want = lla._scad_split(d, b0, p), loop_scad_split(d, b0, p)
-        assert got[:2] == want[:2]
-        assert all(type(j) is int for j in got[0] + got[1])
-        assert got[2].tobytes() == want[2].tobytes()
+        ((u_set, v_set), scales), = lla._scad_splits(d, b0, [p.lam], p.a)
+        want = loop_scad_split(d, b0, p)
+        assert (u_set.tolist(), v_set.tolist()) == want[:2]
+        assert scales.tobytes() == want[2].tobytes()
 
 
 def _solve_systems(m, rng):
@@ -413,7 +414,8 @@ class TestPath:
         singular = [w for w in record if issubclass(w.category, SingularProjectionWarning)]
         assert len(singular) == n_points
         for lam, fit in zip(grid, fits):
-            assert lla._scad_split(d, b0, PenaltySpec("scad", lam, a=3.7))[0] == [0, 4]
+            ((u_set, _), _), = lla._scad_splits(d, b0, [lam], 3.7)
+            assert u_set.tolist() == [0, 4]
             assert np.all(np.isfinite(fit.coefficients))
 
 

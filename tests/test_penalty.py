@@ -216,6 +216,19 @@ def test_scad_derivative_table_is_derivative_bit_for_bit(a):
                 assert np.float64(scale).tobytes() == np.float64(lam / want).tobytes()
 
 
+def test_bridge_derivative_is_inf_where_the_power_overflows():
+    # a Python float's t ** (q - 1) overflows at a subnormal t such as 5e-324
+    spec = PenaltySpec("lq", 2.0, q=0.01)
+    assert penalty.derivative(spec, 1e-310) == 1.5886564694485576e305
+    assert penalty.derivative(spec, 5e-324) == math.inf
+    ts = [0.0, 5e-324, 1e-320, 1e-310, 1.0]
+    want = [math.inf, math.inf, math.inf, 1.5886564694485576e305, 0.02]
+    assert penalty.derivatives(spec, ts) == want
+    assert penalty.lqa_coefficient(spec, 5e-324) == math.inf
+    assert penalty.lqa_coefficient(spec, 5e-324, 1.0) == math.inf
+    assert penalty.lqa_coefficients(spec, ts, 0.0, 3.0)[:3] == [math.inf] * 3
+
+
 def _reference_derivative(p, t):
     """The scalar derivative as one branch per family, before the list form."""
     lam = p.lam

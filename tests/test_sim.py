@@ -214,12 +214,15 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             tiny_spec(tuning="gcv")
 
-    @pytest.mark.parametrize("key, value", [("cv_folds", 1), ("cv_folds", 31), ("n_lambda", 0),
-                                            ("lambda_min_ratio", 0.0), ("lambda_min_ratio", 2.0),
-                                            ("lambda_min_ratio", math.nan)])
+    @pytest.mark.parametrize("key, value", [("n_lambda", 0)])
     def test_tuning_keys_validated(self, key, value):
         with pytest.raises(ValueError, match=key):
             tiny_spec(n=30, **{key: value})
+
+    def test_n_below_cv_folds(self):
+        with pytest.raises(ValueError, match="below the 5 CV folds"):
+            tiny_spec(n=4)
+        assert tiny_spec(n=5).n == 5
 
 
 class TestRunScenario:

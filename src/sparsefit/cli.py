@@ -98,7 +98,9 @@ def _fit_json(fit, family, names, pen=None):
 @click.option("--method", type=click.Choice(_METHODS), default="one-step")
 @click.option("--penalty", "penalty_str", default=None, help='e.g. "scad:lambda=2,a=3.7"')
 @click.option("--lambda", "lam", type=float, default=None, help="override the penalty level")
-@click.option("--cv", is_flag=True, help="pick lambda by k-fold cross-validation")
+@click.option("--cv", is_flag=True, help="pick lambda on the default grid")
+@click.option("--tuning", "selector", type=click.Choice(sim.TUNINGS), default="cv",
+              help="how --cv picks lambda: k-fold cross-validation (default) or BIC")
 @click.option("--criterion", type=click.Choice(subset.CRITERIA), default="bic")
 @click.option("--k", type=click.IntRange(min=1), default=2, help="number of steps for k-step")
 @click.option("--eps0", type=float, default=None, help="LQA deletion cutoff")
@@ -107,7 +109,7 @@ def _fit_json(fit, family, names, pen=None):
 @click.option("--intercept", is_flag=True)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", default=None, help="write JSON here instead of stdout")
-def fit(data, response, family, method, penalty_str, lam, cv, criterion, k,
+def fit(data, response, family, method, penalty_str, lam, cv, selector, criterion, k,
         eps0, tau0, folds, intercept, seed, out):
     """Fit one model and emit the result as JSON."""
     if eps0 is not None and not eps0 > 0:
@@ -116,6 +118,8 @@ def fit(data, response, family, method, penalty_str, lam, cv, criterion, k,
         raise click.UsageError("--tau0 must be positive")
     if lam is not None and not 0 <= lam < np.inf:  # also rejects nan
         raise click.UsageError("--lambda must be finite and nonnegative")
+    if selector != "cv" and not cv:
+        raise click.UsageError(f"--tuning {selector} needs --cv")
     dataset, names = _load(data, response, family, intercept)
     if method == "subset":
         try:
@@ -127,7 +131,7 @@ def fit(data, response, family, method, penalty_str, lam, cv, criterion, k,
     pen = _parse_penalty_flag(penalty_str)
     if cv and lam is not None:
         raise click.UsageError("--lambda and --cv are mutually exclusive")
-    if cv and folds > dataset.n:
+    if cv and selector == "cv" and folds > dataset.n:
         raise click.UsageError(f"--folds {folds} exceeds the {dataset.n} data rows")
     name = method.replace("-", "_")
     opts = dict(k=k, eps0=eps0, tau0=tau0)
@@ -135,7 +139,8 @@ def fit(data, response, family, method, penalty_str, lam, cv, criterion, k,
         pen = replace(pen, lam=lam)
     try:
         if cv:
-            res = methods.tune_and_fit(name, dataset, pen, folds=folds, seed=seed, **opts)
+            res = methods.tune_and_fit(name, dataset, pen, selector=selector, folds=folds,
+                                       seed=seed, **opts)
         else:
             res = methods.fit(name, dataset, pen, **opts)
     except SparsefitError as exc:
@@ -223,6 +228,8 @@ def threshold_cmd(penalty_str, mode, zmin, zmax, step, out):
     if not step > 0 or not zmax > zmin:
         raise click.UsageError("need step > 0 and zmax > zmin")
     grid = np.arange(zmin, zmax + step / 2.0, step)
+    if zmax + step / 2.0 == zmax:  # half a step rounds away: end the grid at zmax itself
+        grid = np.append(grid[grid < zmax], zmax)
     table = threshold.emit_curve(pen, mode.replace("-", "_"), grid)
     if table.discontinuities:
         report = "# discontinuities: " + ";".join(_g17(z) for z in table.discontinuities)

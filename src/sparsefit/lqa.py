@@ -12,12 +12,14 @@ never deletes.
 For Gaussian data the ridge surrogate is exactly quadratic, so each outer
 step is one linear solve on the active block of X^T X and X^T y, both formed
 once per fit; the block's ridge system is rebuilt only when a deletion
-shrinks it.  For logistic and Poisson data each outer step maximizes the
-surrogate by damped Newton; the kernel shares one linear predictor per
-iterate between the score, the Hessian and the line-search log-likelihood,
-and its floats are those of separate ``glm`` calls at each iterate.  Each
-step's ridge coefficients come from one list pass.  The objective traces
-sum the penalty over Python floats; they are built only when asked for
+shrinks it, and each step rewrites only its predictor diagonal.  For
+logistic and Poisson data each outer step maximizes the surrogate by damped
+Newton; the kernel shares one linear predictor per iterate between the
+score, the Hessian and the line-search log-likelihood, and its floats are
+those of separate ``glm`` calls at each iterate.  Each step reads one list
+of coefficient magnitudes, for its deletion test and for its ridge
+coefficients, which come from one list pass.  The objective traces sum the
+penalty over Python floats; they are built only when asked for
 (``trace=True``), since tuning reads only the coefficients.
 """
 
@@ -189,39 +191,47 @@ def _ridge_lqa(d, p, beta, tau0, eps0, pen_value, method, tol):
     # one errstate per Gaussian fit for its solves; a Newton step scopes its own
     with np.errstate(invalid="ignore") if gram is not None else contextlib.nullcontext():
         for it in range(1, MAX_ITER + 1):
-            dead = [j for j in alive if abs(vals[j]) < eps0] if eps0 else ()
+            ts = [abs(vals[j]) for j in alive]  # the deletion test's and the coefficients'
+            dead = ()
+            if eps0 and ts and not min(ts) >= eps0:  # min(ts) is NaN only when ts[0] is
+                dead = [j for j, t in zip(alive, ts) if t < eps0]
             if dead:
                 beta[dead] = 0.0
                 if need_ll:
                     ll = glm.loglik(d, beta)
-                alive = [j for j in alive if j not in dead]
+                alive = [j for j, t in zip(alive, ts) if not t < eps0]
+                ts = [t for t in ts if not t < eps0]
             if dead or idx is None:
                 idx = np.asarray([0] * first + alive, dtype=int)
                 full = idx.size == beta.size  # P-LQA, and LQA until a deletion
-                if gram is not None:  # the active block's ridge system, written in place
-                    block, rhs = (gram, mty) if full else (gram[np.ix_(idx, idx)], mty[idx])
-                    ridge, system = np.zeros_like(block), np.empty_like(block)
-                    diag = ridge.reshape(-1)[::idx.size + 1]
-            c2 = lead + penalty.lqa_coefficients(p, [abs(vals[j]) for j in alive], tau0, n)
+                if gram is not None:
+                    block, rhs = (gram, mty) if full else (gram.take(idx, 0).take(idx, 1), mty[idx])
+                    # the block's ridge system: block + 2 diag(c2), whose predictor diagonal
+                    # each step rewrites; + 0.0 gives np.add's bytes everywhere else
+                    system = block + 0.0
+                    diag = system.reshape(-1)[first * (idx.size + 1)::idx.size + 1]
+                    base = block.diagonal()[first:].tolist()
+            c2 = penalty.lqa_coefficients(p, ts, tau0, n)
             if not idx.size:
                 new = beta.copy()
             elif gram is None:
-                new, ll = _newton_argmax_quadratic(d, np.array(c2), idx, beta, ll, tol / 10.0)
+                new, ll = _newton_argmax_quadratic(d, np.array(lead + c2), idx, beta, ll,
+                                                   tol / 10.0)
             else:
-                np.multiply(c2, 2.0, out=diag)
-                x = _solve_ridge(np.add(block, ridge, out=system), rhs)
+                diag[:] = [b + c * 2.0 for b, c in zip(base, c2)]
+                x = _solve_ridge(system, rhs)
                 if full:
                     new = x
                 else:
                     new = beta.copy()
                     new[idx] = x
-            delta = np.maximum.reduce(abs(new - beta))
-            if gram is not None and not math.isfinite(delta):  # a non-finite step makes it so
+            new_vals = new.tolist()
+            if gram is not None and not math.isfinite(sum(new_vals)):  # or the sum overflows
                 _finite(new)
+            delta = max([abs(a - b) for a, b in zip(new_vals, vals)])
             if traced and gram is not None and idx.size:
                 ll = glm.loglik(d, new)
-            beta = new
-            vals = beta.tolist()
+            beta, vals = new, new_vals
             if traced:
                 trace.append(objective(ll, vals))
             if delta <= tol and not dead:

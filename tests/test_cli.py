@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sparsefit import cli, glm, lla, lqa
+from sparsefit import cli, glm, lla, lqa, methods
 from sparsefit.exceptions import NonConvergence, RidgeFallbackWarning, SingularSystem
 from sparsefit.lla import FitResult
+from sparsefit.penalty import PenaltySpec
 
 from conftest import random_dataset
 
@@ -163,6 +164,41 @@ class TestFit:
         doc = json.loads(res.output)
         assert doc["lambda"] > 0
         assert 2 in doc["support"] or doc["support"] == [0, 2]
+
+    @pytest.mark.parametrize("method", ["one-step", "lqa"])
+    def test_cv_tuning_bic_picks_the_bic_lambda(self, runner, tmp_path, method):
+        # weak signals, where BIC and 5-fold CV pick different grid points
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((40, 6))
+        y = X @ np.array([1.0, 0.5, 0.0, 0.0, 0.2, 0.0]) + rng.standard_normal(40)
+        path = tmp_path / "weak.csv"
+        path.write_text("x1,x2,x3,x4,x5,x6,y\n" + "".join(
+            ",".join(repr(float(v)) for v in (*X[i], y[i])) + "\n" for i in range(40)))
+        lams = {}
+        for selector in ("cv", "bic"):
+            res = runner.invoke(
+                cli.main,
+                ["fit", "--data", str(path), "--response", "y", "--method", method,
+                 "--penalty", "scad:lambda=1", "--cv", "--tuning", selector],
+            )
+            assert res.exit_code == 0, res.output
+            lams[selector] = json.loads(res.output)["lambda"]
+        d = glm.Dataset(X, y, "gaussian")
+        proto = PenaltySpec("scad", 1.0)
+        name = method.replace("-", "_")
+        assert lams["bic"] == methods.select_lambda(name, d, proto, selector="bic")[0]
+        assert lams["cv"] == methods.select_lambda(name, d, proto, selector="cv")[0]
+        assert lams["bic"] != lams["cv"]
+
+    def test_tuning_bic_without_cv_exit_2(self, runner, toy_csv):
+        path, _, _ = toy_csv
+        res = runner.invoke(
+            cli.main,
+            ["fit", "--data", str(path), "--response", "y", "--method", "one-step",
+             "--penalty", "scad:lambda=1", "--tuning", "bic"],
+        )
+        assert res.exit_code == 2
+        assert "--tuning bic needs --cv" in res.output
 
     def test_nonconvergence_exit_4_with_partial(self, runner, toy_csv, monkeypatch):
         path, _, _ = toy_csv
@@ -647,6 +683,21 @@ class TestThresholdCmd:
         rows = [tuple(map(float, line.split(","))) for line in lines[2:]]
         assert 5e-324 in [z for z, _ in rows]
         assert all(theta == 0.0 for _, theta in rows)
+
+    @pytest.mark.parametrize("zmin, zmax, step, zs", [
+        ("0", "1e-323", "5e-324", [0.0, 5e-324, 1e-323]),
+        # arange's second point rounds to zmax itself, which the grid then holds once
+        ("1e16", "1.0000000000000002e16", "1.5", [1e16, 1.0000000000000002e16]),
+    ])
+    def test_grid_ends_at_zmax_when_half_a_step_rounds_away(self, runner, zmin, zmax, step, zs):
+        res = runner.invoke(
+            cli.main,
+            ["threshold", "--penalty", "l1:lambda=1", "--mode", "one-step",
+             "--zmin", zmin, "--zmax", zmax, "--step", step],
+        )
+        assert res.exit_code == 0, res.output
+        lines = res.output.strip().splitlines()
+        assert [float(line.split(",")[0]) for line in lines[2:]] == zs
 
     def test_bad_range_exit_2(self, runner):
         res = runner.invoke(

@@ -333,11 +333,22 @@ def _oracle_outcomes(d):
 @pytest.mark.filterwarnings("ignore::sparsefit.exceptions.RidgeFallbackWarning")
 @pytest.mark.parametrize("design", ["plain", "intercept", "duplicated"])
 @pytest.mark.parametrize("family", FAMILIES)
-def test_fits_bit_identical_to_per_iterate_glm_calls(family, design):
+def test_fits_bit_identical_to_per_iterate_glm_calls(monkeypatch, family, design):
+    # the logistic and Poisson oracle runs reach the Newton kernel both with the
+    # whole model vector (P-LQA, LQA before a deletion) and with a gathered block
+    whole, newton = [], lqa._newton_argmax_quadratic
+
+    def counting(d, c2, idx, start, ll, tol):
+        whole.append(idx.size == start.size)
+        return newton(d, c2, idx, start, ll, tol)
+
+    monkeypatch.setattr(lqa, "_newton_argmax_quadratic", counting)
     pairs = _oracle_outcomes(design_dataset(family, design))
     assert len(pairs) == 24
     for i, (got, want) in enumerate(pairs):
         assert got == want, i
+    if family != "gaussian":
+        assert True in whole and False in whole
 
 
 def _agrees_with_newton(got, want):

@@ -237,7 +237,10 @@ def _reference_derivative(p, t):
     if p.family == "l1":
         return lam
     if p.family == "lq":
-        return math.inf if t == 0.0 else lam * p.q * t ** (p.q - 1.0)
+        try:
+            return math.inf if t == 0.0 else lam * p.q * t ** (p.q - 1.0)
+        except OverflowError:  # a Python float's power at a subnormal t
+            return math.inf
     if p.family == "log":
         return math.inf if t == 0.0 else lam / t
     a = p.a
@@ -260,24 +263,30 @@ def _same_bytes(x, y):
 
 @pytest.mark.parametrize("spec", [*ALL, PenaltySpec("scad", 0.3, a=2.5), PenaltySpec("lq", 0.3, q=0.3),
                                   PenaltySpec("lq", 2.0, q=0.01), PenaltySpec("log", 0.3),
-                                  PenaltySpec("scad", 0.0), PenaltySpec("log", 0.0)])
+                                  PenaltySpec("scad", 0.0), PenaltySpec("log", 0.0),
+                                  PenaltySpec("l1", -0.0)])
 def test_list_forms_are_the_scalar_forms_bit_for_bit(spec):
     # the LQA steps and the LLA weights read the list forms, and the scalar forms
-    # are their one-element calls; at 0, lambda, a * lambda, between them, 1e300
-    # and inf (and NaN) both give the bytes of the per-family scalar reference
+    # are their one-element calls; at 0, lambda, a * lambda and their neighbours on
+    # both sides, between them, subnormals, 1e300 and inf (and NaN) both give the
+    # bytes of the per-family scalar reference, wherever t stands in the list
     lam, a = spec.lam, spec.a
     between = [lam * k / 8.0 for k in range(1, 40)]  # both sides of lambda and of a * lambda
-    ts = sorted({0.0, 1e-300, lam, np.nextafter(lam, math.inf), a * lam,
-                 np.nextafter(a * lam, math.inf), 1.0, 1e300, math.inf, *between}) + [math.nan]
+    edges = [float(np.nextafter(x, toward))
+             for x in (lam, a * lam) for toward in (-math.inf, math.inf)]
+    ts = sorted({0.0, 5e-324, 1e-310, 1e-300, lam, a * lam, 1.0, 1e300, math.inf, *between,
+                 *(t for t in edges if t >= 0.0)}) + [math.nan]
     derivs = penalty.derivatives(spec, ts)
     assert len(derivs) == len(ts)
     for t, got in zip(ts, derivs):
         want = _reference_derivative(spec, t)
         assert _same_bytes(got, want) and _same_bytes(penalty.derivative(spec, t), want), t
-    for tau0 in (0.0, 1e-6, 2.0):
+    for tau0 in (0.0, 5e-324, 1e-6, 2.0):
         for scale in (1, 50, 1.0):
             coefs = penalty.lqa_coefficients(spec, ts, tau0, scale)
             assert len(coefs) == len(ts)
+            backwards = penalty.lqa_coefficients(spec, ts[::-1], tau0, scale)[::-1]
+            assert all(_same_bytes(x, y) for x, y in zip(backwards, coefs)), (tau0, scale)
             for t, got in zip(ts, coefs):
                 want = _reference_lqa_coefficient(spec, t, tau0)
                 assert _same_bytes(got, scale * want), (t, tau0, scale)
